@@ -571,10 +571,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fuse_xi(argv: list[str]) -> list[str]:
+    """Join `--xi VALUE` into `--xi=VALUE` when VALUE starts with '-'.
+
+    argparse takes a token such as -0.5+3i for an option and leaves --xi
+    without its value; the fused form is read as the value it is.
+    """
+    fused: list[str] = []
+    for token in argv:
+        if fused and fused[-1] == "--xi" and token.startswith("-") and not token.startswith("--"):
+            fused[-1] = "--xi=" + token
+        else:
+            fused.append(token)
+    return fused
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_fuse_xi(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,31 +1,29 @@
 """Line and circle quadrature for analytic function handles.
 
-Line integrals use composite Gauss-Legendre panels on a truncated line and
-refine by doubling the panel count until two consecutive refinements agree to
-the requested relative tolerance.  Derivatives and Laurent coefficients come
-from trapezoidal quadrature of the Cauchy integral on a circle, which is
-spectrally accurate for these periodic integrands.
+Both rules are the trapezoid rule, refined by halving the step: a halving
+evaluates only the new midpoints and keeps every earlier sample.  On a
+truncated line the integrand is analytic in a strip and decays at the ends,
+and on a circle it is periodic, so in both cases the rule converges
+geometrically (Trefethen & Weideman, "The exponentially convergent
+trapezoidal rule", SIAM Review 56, 2014).  Refinement stops when two
+consecutive levels agree to the requested relative tolerance.
 
-All routines are deterministic: nodes are generated in ascending index order
-and sums are accumulated in that fixed order.
+All routines are deterministic: samples are generated in a fixed order and
+sums are accumulated in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator
 
 from mpmath import mp, mpc, mpf, exp, pi, factorial
 
 from .errors import NonDecayingIntegrand, RadiusTooLarge, ToleranceNotReached
 from .precision import DEFAULT_PRECISION, Precision, to_mpc
 
-_GL_ORDER = 32
-_MAX_PANELS = 4096
+_MAX_LINE_NODES = 4096 * 32
 _MAX_CIRCLE_NODES = 1 << 16
-
-# (order, binary precision) -> (nodes, weights) on [-1, 1]
-_gl_cache: dict[tuple[int, int], tuple[list, list]] = {}
 
 
 @dataclass(frozen=True)
@@ -41,60 +39,16 @@ class LineContour:
             raise ValueError("half_length must be positive")
 
 
-def _legendre_nodes(n: int) -> tuple[list, list]:
-    """Gauss-Legendre nodes/weights on [-1,1] at the current mp precision.
+def _halvings(g, lo, width, n: int) -> Iterator[tuple[int, list]]:
+    """Nested trapezoid refinement of [lo, lo + width], starting from n intervals.
 
-    Float seeds from the classical Newton iteration are refined with mpmath
-    Newton steps on P_n; cached per (n, mp.prec).
+    Each step halves the step and yields the new interval count and g at the
+    new midpoints, in ascending order; earlier nodes are never evaluated again.
     """
-    key = (n, mp.prec)
-    cached = _gl_cache.get(key)
-    if cached is not None:
-        return cached
-
-    import numpy as np
-
-    seeds, _ = np.polynomial.legendre.leggauss(n)
-
-    def legendre_pair(x):
-        # returns (P_n(x), P_n'(x)) via the three-term recurrence
-        p0, p1 = mpf(1), x
-        for k in range(1, n):
-            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-        dp = n * (x * p1 - p0) / (x * x - 1)
-        return p1, dp
-
-    nodes = []
-    weights = []
-    for s in seeds:
-        x = mpf(float(s))
-        for _ in range(12):
-            p, dp = legendre_pair(x)
-            dx = p / dp
-            x = x - dx
-            if abs(dx) < mpf(10) ** (-(mp.dps + 2)):
-                break
-        p, dp = legendre_pair(x)
-        nodes.append(x)
-        weights.append(2 / ((1 - x * x) * dp * dp))
-    _gl_cache[key] = (nodes, weights)
-    return nodes, weights
-
-
-def _gl_line_sum(f, base, direction, half_length, n_panels: int, order: int) -> mpc:
-    nodes, weights = _legendre_nodes(order)
-    width = 2 * half_length / n_panels
-    total = mpc(0)
-    for p in range(n_panels):
-        left = -half_length + p * width
-        mid = left + width / 2
-        half = width / 2
-        acc = mpc(0)
-        for x, w in zip(nodes, weights):
-            t = mid + half * x
-            acc += w * f(base + direction * t)
-        total += acc * half
-    return total * direction
+    while True:
+        step = width / n
+        yield 2 * n, [g(lo + (2 * j + 1) * step / 2) for j in range(n)]
+        n *= 2
 
 
 def integrate_line(
@@ -107,12 +61,14 @@ def integrate_line(
 
     The integrand must decay at the truncation ends: the endpoint magnitude is
     required to fall below target_rel_tol times the maximum sampled magnitude,
-    with the half-length doubled at most twice before giving up.  Refinement
-    then doubles the panel count until two consecutive composite rules agree.
+    with the half-length doubled at most twice before giving up.  The 65
+    equispaced samples of that check are the first trapezoid level; refinement
+    then halves the step until two consecutive levels agree.  No level with
+    fewer than 4 * max(4, min_panels) intervals is accepted.
 
     Raises:
         NonDecayingIntegrand: tail magnitude test fails after two doublings.
-        ToleranceNotReached: panel refinement stalls.
+        ToleranceNotReached: step halving stalls.
     """
     with precision.workdps():
         base = to_mpc(contour.base_point)
@@ -121,13 +77,13 @@ def integrate_line(
         direction = exp(mpc(0, 1) * phi)
         tol = precision.rel_tol
 
+        def g(t):
+            return f(base + direction * t)
+
         for attempt in range(3):
-            coarse = [
-                abs(f(base + direction * (-half_length + half_length * k / 32)))
-                for k in range(65)
-            ]
-            max_mag = max(coarse)
-            end_mag = max(coarse[0], coarse[-1])
+            samples = [g(-half_length + half_length * k / 32) for k in range(65)]
+            max_mag = max(abs(v) for v in samples)
+            end_mag = max(abs(samples[0]), abs(samples[-1]))
             if max_mag == 0 or end_mag <= tol * max_mag:
                 break
             if attempt == 2:
@@ -141,20 +97,26 @@ def integrate_line(
         # scale set by the integrand magnitude over the contour length
         zero_floor = tol * max_mag * 2 * half_length
 
-        n_panels = max(4, int(min_panels))
+        width = 2 * half_length
+        min_intervals = 4 * max(4, int(min_panels))
+        n = len(samples) - 1
+        total = (samples[0] + samples[-1]) / 2 + sum(samples[1:-1])
+        halvings = _halvings(g, -half_length, width, n)
         previous = None
-        while n_panels <= _MAX_PANELS:
-            value = _gl_line_sum(f, base, direction, half_length, n_panels, _GL_ORDER)
-            if previous is not None:
+        while True:
+            value = total * (width / n) * direction
+            if previous is not None and n >= min_intervals:
                 delta = abs(value - previous)
                 scale = max(abs(value), abs(previous))
                 if delta <= max(tol * scale, zero_floor):
                     return value
+            if n >= _MAX_LINE_NODES:
+                raise ToleranceNotReached(
+                    "line quadrature did not converge within %d nodes" % _MAX_LINE_NODES
+                )
             previous = value
-            n_panels *= 2
-        raise ToleranceNotReached(
-            "line quadrature did not converge within %d panels" % _MAX_PANELS
-        )
+            n, new = next(halvings)
+            total += sum(new)
 
 
 def _check_radius(z0, radius, singularities) -> None:
@@ -166,26 +128,6 @@ def _check_radius(z0, radius, singularities) -> None:
                 "circle of radius %s about %s encloses singularity %s"
                 % (mp.nstr(radius, 6), mp.nstr(z0, 6), mp.nstr(to_mpc(s), 6))
             )
-
-
-def _circle_coefficients(f, z0, radius, orders: Sequence[int], nodes: int):
-    """Laurent coefficients c_n = (1/2pi i) oint f(z) (z-z0)^{-n-1} dz by trapezoid.
-
-    Also returns the maximum sampled |f|, the natural error scale of the rule.
-    """
-    samples = []
-    two_pi = 2 * pi
-    for m in range(nodes):
-        w = radius * exp(mpc(0, 1) * (two_pi * m / nodes))
-        samples.append((w, f(z0 + w)))
-    max_mag = max(abs(fw) for _, fw in samples)
-    out = []
-    for n in orders:
-        acc = mpc(0)
-        for w, fw in samples:
-            acc += fw * w ** (-n)
-        out.append(acc / nodes)
-    return out, max_mag
 
 
 def laurent_coefficients(
@@ -211,25 +153,35 @@ def laurent_coefficients(
         _check_radius(z0, radius, singularities)
         tol = precision.rel_tol
 
-        nodes = 32
+        def g(theta):
+            w = radius * exp(mpc(0, 1) * theta)
+            return w, f(z0 + w)
+
+        # c_k = (1/2 pi i) oint f(z) (z - z0)^{-k-1} dz is the mean of
+        # f(z0 + w) w^{-k} over the n nodes w; max |f| is the error scale
+        two_pi = 2 * pi
+        n = 32
+        new = [g(two_pi * m / n) for m in range(n)]
+        halvings = _halvings(g, mpf(0), two_pi, n)
+        sums = [mpc(0)] * len(orders)
+        max_mag = mpf(0)
         previous = None
-        while nodes <= _MAX_CIRCLE_NODES:
-            values, max_mag = _circle_coefficients(f, z0, radius, orders, nodes)
-            if previous is not None:
-                # quadrature error of c_n scales like max|f| / radius^n
-                ok = True
-                for v, pv, n in zip(values, previous, orders):
-                    floor = tol * max_mag * radius ** (-n)
-                    if abs(v - pv) > max(tol * abs(v), floor):
-                        ok = False
-                        break
-                if ok:
-                    return values
+        while True:
+            max_mag = max(max_mag, max(abs(fw) for _, fw in new))
+            sums = [acc + sum(fw * w ** (-k) for w, fw in new) for acc, k in zip(sums, orders)]
+            values = [acc / n for acc in sums]
+            # quadrature error of c_k scales like max|f| / radius^k
+            if previous is not None and all(
+                abs(v - pv) <= max(tol * abs(v), tol * max_mag * radius ** (-k))
+                for v, pv, k in zip(values, previous, orders)
+            ):
+                return values
+            if n >= _MAX_CIRCLE_NODES:
+                raise ToleranceNotReached(
+                    "circle quadrature did not converge within %d nodes" % _MAX_CIRCLE_NODES
+                )
             previous = values
-            nodes *= 2
-        raise ToleranceNotReached(
-            "circle quadrature did not converge within %d nodes" % _MAX_CIRCLE_NODES
-        )
+            n, new = next(halvings)
 
 
 def cauchy_derivatives(

@@ -70,6 +70,15 @@ class TestEval:
         assert abs(float(v1["value_re"]) - float(v2["value_re"])) < 1e-8
         assert abs(float(v1["value_im"]) - float(v2["value_im"])) < 1e-8
 
+    def test_negative_real_xi_space_form(self, capsys):
+        # "--xi -0.5+3i" must not be read as an option (README form)
+        base = ["eval", "--a", "2", "--b", "3", "--N", "5"]
+        code1, out1, err1 = run_cli(base + ["--xi", "-0.5+3i"], capsys)
+        code2, out2, _ = run_cli(base + ["--xi=-0.5+3i"], capsys)
+        assert code1 == code2 == 0, err1
+        assert out1 == out2
+        assert json.loads(out1)["xi"] == "-0.5+3.0i"
+
     def test_malformed_xi_exits_2(self, capsys):
         code, out, err = run_cli(
             ["eval", "--a", "2", "--b", "3", "--N", "5", "--xi", "1+*i"], capsys
@@ -113,6 +122,15 @@ class TestExpand:
         assert len(lines) == 5
         residuals = [float(line.split(",")[3]) for line in lines[1:]]
         assert all(r1 < r0 for r0, r1 in zip(residuals, residuals[1:]))
+
+    def test_negative_real_xi_space_form(self, capsys):
+        code, out, err = run_cli(
+            ["expand", "--a", "2", "--b", "3", "--xi", "-0.5+3i", "--N", "20"], capsys
+        )
+        assert code == 0, err
+        report = json.loads(out)["reports"][0]
+        assert report["xi"] == "-0.5+3.0i"
+        assert report["case_tag"] == "not_pole_nonpos_re"
 
     def test_routes_to_root_of_unity(self, capsys):
         code, out, _ = run_cli(

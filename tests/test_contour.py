@@ -1,7 +1,8 @@
 import pytest
-from mpmath import exp, fabs, mp, mpc, mpf, pi, sqrt
+from mpmath import arg, exp, fabs, im, mp, mpc, mpf, pi, re, sqrt, tan
 
 from torusasym import (
+    EvalPoint,
     LineContour,
     NonDecayingIntegrand,
     Precision,
@@ -9,10 +10,13 @@ from torusasym import (
     TorusKnot,
     cauchy_derivatives,
     integrate_line,
+    jones_integral,
+    jones_sum,
     laurent_at_simple_pole,
     laurent_coefficients,
     tau,
 )
+from torusasym.jones import _contour_angle
 from conftest import assert_close
 
 P = Precision(30, 1e-12)
@@ -21,6 +25,17 @@ K23 = TorusKnot(2, 3)
 
 def tau23(z):
     return tau(K23, z, P)
+
+
+def counting(f):
+    """f together with a list whose length is the number of calls made."""
+    calls = []
+
+    def wrapped(z):
+        calls.append(z)
+        return f(z)
+
+    return wrapped, calls
 
 
 class TestIntegrateLine:
@@ -61,12 +76,81 @@ class TestIntegrateLine:
         b = integrate_line(f, LineContour(0, 0.1, 8.0), P)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "half_length,min_panels,scans,intervals",
+        [
+            (8.0, 8, 1, 128),  # the 65-sample scan is level 0; level 1 agrees
+            (8.0, 64, 1, 256),  # no level below 4 * 64 intervals is accepted
+            (2.0, 8, 3, 128),  # two failed tail scans, then as above
+        ],
+    )
+    def test_every_sample_evaluated_once(self, half_length, min_panels, scans, intervals):
+        # a tail scan costs 65 calls; the accepted level of `intervals`
+        # intervals adds only its intervals - 64 nodes beyond the final scan
+        f, calls = counting(lambda z: exp(-z * z))
+        val = integrate_line(f, LineContour(0, 0.0, half_length), P, min_panels=min_panels)
+        assert_close(val, sqrt(pi), rel=mpf("1e-12"))
+        assert len(calls) == 65 * scans + intervals - 64
+        assert len(set(calls[-(intervals + 1):])) == intervals + 1
+
+
+def _xi_at_pole_gap(knot, k, theta):
+    """xi = r e^{i theta} whose saddle line through xi/2 at angle theta/2 crosses
+    the imaginary axis just outside the pi/(4ab) gap above the pole k pi i/(ab).
+
+    That line meets the axis at |xi| tan(theta/2)/2; the factor 1 + 1e-9 keeps
+    the crossing on the admissible side of the gap after rounding.
+    """
+    crossing = (k * pi / knot.ab + pi / (4 * knot.ab)) * (1 + mpf("1e-9"))
+    return complex(2 * crossing / tan(theta / 2) * exp(mpc(0, theta)))
+
+
+class TestJonesIntegralAccuracy:
+    """The trapezoid line rule inside jones_integral against a 60-digit sum."""
+
+    @pytest.mark.parametrize(
+        "pair,xi,N",
+        [
+            ((2, 3), _xi_at_pole_gap(K23, 1, pi / 2), 12),
+            ((2, 3), _xi_at_pole_gap(K23, 1, 2 * pi / 3), 12),  # Re xi < 0
+            ((2, 3), complex(-0.5, 3), 16),
+            ((3, 5), complex(-0.35, 2.7), 12),
+            ((2, 5), complex(1.1, 2.3), 24),
+        ],
+    )
+    def test_matches_high_precision_sum(self, pair, xi, N):
+        knot = TorusKnot(*pair)
+        tight = Precision(30, 1e-12)
+        value = jones_integral(knot, EvalPoint(xi=xi, N=N), tight)
+        reference = jones_sum(knot, N, xi, Precision(60, 1e-30))
+        assert_close(value, reference, rel=tight.rel_tol, abs_tol=mpf(0))
+
+    @pytest.mark.parametrize("theta", [pi / 2, 2 * pi / 3])
+    def test_gap_case_is_the_narrowest_strip(self, theta):
+        # the contour keeps its unnudged angle and the saddle line crosses
+        # the axis at the minimum distance pi/(4ab) from the pole pi i/6
+        xi = mpc(_xi_at_pole_gap(K23, 1, theta))
+        phi = _contour_angle(K23, xi)
+        assert phi == arg(xi) / 2
+        crossing = (im(xi) - re(xi) * tan(phi)) / 2
+        gap = pi / (4 * K23.ab)
+        assert gap <= crossing - pi / 6 < gap * (1 + mpf("1e-8"))
+
 
 class TestCauchyDerivatives:
     def test_exp_derivatives(self):
         vals = cauchy_derivatives(exp, 0, 1.0, [0, 1, 2], P)
         for v in vals:
             assert_close(v, 1)
+
+    def test_exp_derivatives_reuse_samples(self):
+        # the 32 nodes of the first level are kept when 64 nodes confirm them
+        f, calls = counting(exp)
+        vals = cauchy_derivatives(f, 0, 1.0, [0, 1, 2, 3, 4], P)
+        for v in vals:
+            assert_close(v, 1, rel=mpf("1e-25"))
+        assert len(calls) == 64
+        assert len(set(calls)) == 64
 
     def test_tau_first_derivative_at_zero(self):
         # tau(z) = 2z + O(z^3), so tau'(0) = 2
