@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 from mpmath import exp, fabs, floor, im, mp, mpc, mpf, pi, re, sin, sinh, sqrt
 
-from .errors import CaseUndefined
+from .errors import CaseUndefined, InvalidXi
 from .precision import DEFAULT_PRECISION, Precision, to_mpc
 from .contour import laurent_coefficients
-from .jones import jones_sum
-from .torus import TorusKnot, _tau_raw, tau_even_derivatives, ztau_even_derivatives
+from .jones import _nearest_2pii_multiple, jones_sum
+from .torus import TorusKnot, _framing_exponent, _tau_raw
+from .torus import tau_even_derivatives, ztau_even_derivatives
 
 # guard for recognizing ab|xi|/(2 pi) as an exact integer / xi as purely imaginary
 _BOUNDARY_GUARD = mpf("1e-12")
@@ -173,10 +174,7 @@ def _guarded_floor(x) -> int:
 
 def _case_prefactor(knot: TorusKnot, xi, N: int) -> mpc:
     """e^((ab - a/b - b/a) xi / (4N)) / (2 sinh(xi/2))."""
-    ab = knot.ab
-    return exp((ab - mpf(knot.a) / knot.b - mpf(knot.b) / knot.a) * xi / (4 * N)) / (
-        2 * sinh(xi / 2)
-    )
+    return exp(_framing_exponent(knot, xi, N)) / (2 * sinh(xi / 2))
 
 
 def expand(spec: ExpansionSpec, precision: Precision = DEFAULT_PRECISION) -> ExpansionReport:
@@ -191,8 +189,8 @@ def expand(spec: ExpansionSpec, precision: Precision = DEFAULT_PRECISION) -> Exp
         xi = to_mpc(spec.xi)
         ab = knot.ab
 
-        m = int(mp.nint(im(xi) / (2 * pi)))
-        if fabs(xi - 2 * pi * mpc(0, 1) * m) < mpf("1e-9"):
+        m = _nearest_2pii_multiple(xi)
+        if m is not None:
             if m == 1:
                 return expand_root_of_unity(knot, N, J, precision)
             raise CaseUndefined(
@@ -282,7 +280,7 @@ def expand_root_of_unity(
     with precision.workdps():
         ab = knot.ab
         xi = 2 * pi * mpc(0, 1)
-        prefactor = exp((ab - mpf(knot.a) / knot.b - mpf(knot.b) / knot.a) * xi / (4 * N))
+        prefactor = exp(_framing_exponent(knot, xi, N))
         front = pi ** mpf("1.5") / (2 * ab) * (N / xi) ** mpf("1.5")
         exp_terms = []
         for k in range(1, ab):
@@ -328,14 +326,11 @@ def classify_region(knot: TorusKnot, xi, precision: Precision = DEFAULT_PRECISIO
     oscillatory term neither grows nor decays.  Only defined away from the
     multiples of 2 pi i and for Im xi >= 0.
     """
-    from .errors import InvalidXi
-
     with precision.workdps():
         xi = to_mpc(xi)
         if im(xi) < -mpf("1e-15"):
             raise InvalidXi("Im xi must be non-negative")
-        m = int(mp.nint(im(xi) / (2 * pi)))
-        if fabs(xi - 2 * pi * mpc(0, 1) * m) < mpf("1e-9"):
+        if _nearest_2pii_multiple(xi) is not None:
             raise InvalidXi("classification undefined at multiples of 2 pi i")
         if re(xi) > 0:
             return "converges"

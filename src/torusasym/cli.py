@@ -23,33 +23,12 @@ import random
 import re as _re
 import sys
 
-from mpmath import fabs, im, mp, mpc, mpf, pi, re, sin
+from mpmath import fabs, im, mp, mpc, mpf, pi, re
 
-from . import __version__
-from .asymptotics import (
-    classify_region,
-    expand,
-    ExpansionSpec,
-    torsion_weight,
-)
-from .charvar import (
-    alpha_beta_from_k,
-    enumerate_components,
-    longitude_log_lift,
-    rep_index,
-    valid_k_values,
-)
-from .cstorsion import (
-    BundleElement,
-    cs_closed_form,
-    cs_extract,
-    equivalent,
-    g_act,
-    torsion_lambda,
-    transported_component_form,
-)
+from . import __version__, identities
+from .asymptotics import classify_region, expand, ExpansionSpec
 from .errors import TorusAsymError
-from .jones import EvalPoint, jones_integral, jones_sum
+from .jones import EvalPoint, _nearest_2pii_multiple, jones_integral, jones_sum
 from .precision import Precision, to_mpc
 from .torus import TorusKnot
 
@@ -207,8 +186,6 @@ def cmd_eval(args) -> int:
     precision = build_precision(args)
     knot = TorusKnot(args.a, args.b)
     xi = snap_special_xi(knot, parse_xi(args.xi))
-    if args.method == "integral" and args.N > 5000:
-        raise CliError("the integral route is limited to N <= 5000; use --method sum")
     with precision.workdps():
         if args.method == "sum":
             value = jones_sum(knot, args.N, xi, precision)
@@ -286,176 +263,19 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _knot_pairs(bound: int) -> list[TorusKnot]:
-    out = []
-    for a in range(2, bound // 3 + 1):
-        for b in range(3, bound // a + 1, 2):
-            if a * b <= bound:
-                try:
-                    out.append(TorusKnot(a, b))
-                except ValueError:
-                    continue
-    return out
-
-
-def _verify_suite(bound: int, perturb: float, precision: Precision) -> list[dict]:
-    """Closed-form identity checks; each entry reports max deviation over samples.
-
-    perturb (test-only) is added to one side of every comparison to
-    demonstrate the checks are sensitive.
-    """
-    knots = _knot_pairs(bound)
-    rng = random.Random(20100831)
-    eps = mpf(perturb)
-    checks = []
-
-    def add(name, samples, deviation, tol, informational=False):
-        deviation = float(deviation)
-        entry = {
-            "identity": name,
-            "samples": samples,
-            "max_deviation": "%.3e" % deviation,
-            "tolerance": "%.1e" % float(tol),
-            "status": "PASS" if deviation < float(tol) else "FAIL",
-        }
-        if informational:
-            entry["status"] = "RECORDED"
-        checks.append(entry)
-
-    # component counts and the two-to-one index map
-    dev = 0
-    samples = 0
-    for knot in knots:
-        comps = enumerate_components(knot)
-        ks = valid_k_values(knot)
-        samples += 1
-        dev = max(dev, abs(len(comps) - (knot.a - 1) * (knot.b - 1) // 2))
-        dev = max(dev, abs(len(ks) - 2 * len(comps)))
-        for k in ks:
-            idx = rep_index(knot, k)
-            if k not in (idx.k1, idx.k2):
-                dev = max(dev, 1)
-    add("component-count-and-two-to-one", samples, dev + float(eps), 0.5)
-
-    # sin^2 invariance of the component label
-    with precision.workdps():
-        dev = mpf(0)
-        samples = 0
-        for knot in knots:
-            for k in valid_k_values(knot):
-                alpha, beta = alpha_beta_from_k(knot, k)
-                lhs = (sin(alpha * pi / knot.a) * sin(beta * pi / knot.b)) ** 2
-                rhs = (sin(k * pi / knot.a) * sin(k * pi / knot.b)) ** 2
-                dev = max(dev, fabs(lhs + eps - rhs))
-                samples += 1
-    add("sin2-label-invariance", samples, dev, 1e-12)
-
-    # meridian torsion magnitude equals the weight T_k
-    with precision.workdps():
-        dev = mpf(0)
-        samples = 0
-        for knot in knots:
-            for k in valid_k_values(knot):
-                alpha, beta = alpha_beta_from_k(knot, k)
-                lhs = torsion_weight(knot, k, precision)
-                rhs = knot.ab * torsion_lambda(knot, alpha, beta, precision)
-                dev = max(dev, fabs(lhs + eps - rhs))
-                samples += 1
-    add("meridian-torsion-identity", samples, dev, 1e-13)
-
-    # group relations act as the identity
-    with precision.workdps():
-        dev = mpf(0)
-        samples = 0
-        for _ in range(50):
-            e = BundleElement(
-                mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) + 3,
-            )
-            words = [
-                ("XYX-Y-", ["X", "Y"], ["Y", "X"]),
-                ("XBXB", ["X", "B", "X", "B"], []),
-                ("YBYB", ["Y", "B", "Y", "B"], []),
-                ("BB", ["B", "B"], []),
-            ]
-            for _, left, right in words:
-                lhs = e
-                for gen in left:
-                    lhs = g_act(gen, lhs, precision)
-                rhs = e
-                for gen in right:
-                    rhs = g_act(gen, rhs, precision)
-                dev = max(
-                    dev,
-                    fabs(lhs.s + eps - rhs.s),
-                    fabs(lhs.t - rhs.t),
-                    fabs(lhs.z - rhs.z) / fabs(rhs.z),
-                )
-                samples += 1
-    add("group-action-relations", samples, dev, 1e-12)
-
-    # closed-form CS equals the transported component form, both eps signs
-    with precision.workdps():
-        dev = mpf(0)
-        samples = 0
-        for knot in knots:
-            for comp in enumerate_components(knot):
-                for _ in range(5):
-                    u = mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-                    for k in (comp.k1, comp.k2):
-                        xi = u + 2 * pi * mpc(0, 1)
-                        closed = cs_closed_form(knot, k, xi, precision)
-                        v = longitude_log_lift(knot, k, u, precision)
-                        reference = cs_extract(closed, u, v, precision)
-                        for sign in (1, -1):
-                            moved = transported_component_form(knot, k, u, sign, precision)
-                            moved = BundleElement(moved.s, moved.t, moved.z + eps)
-                            if not equivalent(moved, closed, precision):
-                                dev = max(dev, mpf(1))
-                            got = cs_extract(moved, u, v, precision)
-                            dev = max(dev, got.distance(reference, precision))
-                            samples += 1
-    add("cs-closed-form-vs-component-form", samples, dev, 1e-10)
-
-    # longitude lift equals twice the saddle-exponent derivative minus 2 pi i
-    with precision.workdps():
-        dev = mpf(0)
-        samples = 0
-        for knot in knots:
-            for k in valid_k_values(knot):
-                u = mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-                xi = u + 2 * pi * mpc(0, 1)
-                slope = (2 * k * pi * mpc(0, 1) - knot.ab * xi) / 2
-                lhs = longitude_log_lift(knot, k, u, precision)
-                dev = max(dev, fabs(lhs + eps - (2 * slope - 2 * pi * mpc(0, 1))))
-                samples += 1
-    add("longitude-lift-derivative", samples, dev, 1e-12)
-
-    # informational: are the two preimages of one component G-equivalent?
-    with precision.workdps():
-        agree = 0
-        samples = 0
-        for knot in knots:
-            for comp in enumerate_components(knot):
-                u = mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-                xi = u + 2 * pi * mpc(0, 1)
-                e1 = cs_closed_form(knot, comp.k1, xi, precision)
-                e2 = cs_closed_form(knot, comp.k2, xi, precision)
-                try:
-                    if equivalent(e1, e2, precision):
-                        agree += 1
-                except TorusAsymError:
-                    pass
-                samples += 1
-    add("partner-preimage-equivalence", samples, samples - agree, samples + 1, informational=True)
-
-    return checks
-
-
 def cmd_verify(args) -> int:
     precision = build_precision(args)
-    checks = _verify_suite(args.bound, args.perturb, precision)
+    knots = identities.knots_up_to(args.bound)
+    checks = [
+        {
+            "identity": check.identity,
+            "samples": check.samples,
+            "max_deviation": "%.3e" % float(check.deviation),
+            "tolerance": "%.1e" % float(check.tolerance),
+            "status": check.status,
+        }
+        for check in identities.suite(knots, precision, random.Random(20100831), args.perturb)
+    ]
     failed = [c for c in checks if c["status"] == "FAIL"]
     record = {
         "bound": args.bound,
@@ -491,8 +311,7 @@ def cmd_region(args) -> int:
                 if y < 0:
                     continue
                 z = mpc(x, y)
-                m = int(mp.nint(y / (2 * pi)))
-                if abs(x) < 1e-12 and fabs(y - 2 * pi * m) < 1e-9:
+                if _nearest_2pii_multiple(z) is not None:
                     cls = "excluded_2pii_multiple"
                 else:
                     cls = classify_region(knot, z, precision)
@@ -594,10 +413,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(json.dumps({"error": "argument", "message": str(exc)}) + "\n")
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": "argument", "message": str(exc)}) + "\n")
         return 2
     except TorusAsymError as exc:

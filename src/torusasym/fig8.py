@@ -72,7 +72,7 @@ def torsion_lambda_fig8(param: MeridianParam, precision: Precision = DEFAULT_PRE
     """Longitude torsion 1/(2m + 2/m - 1); also 1/sqrt(17 + 4 Tr(longitude))."""
     with precision.workdps():
         den = 2 * param.m + 2 / param.m - 1
-        if fabs(den) < mpf(10) ** (-(precision.working_digits - 4)):
+        if fabs(den) < precision.degeneracy_eps:
             raise DegenerateDenominator("2m + 2/m - 1 vanishes")
         return 1 / den
 
@@ -84,7 +84,7 @@ def torsion_mu_fig8(
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     with precision.workdps():
-        if fabs(param.sqrt_disc) < mpf(10) ** (-(precision.working_digits - 4)):
+        if fabs(param.sqrt_disc) < precision.degeneracy_eps:
             raise DegenerateDiscriminant("meridian discriminant vanishes")
         return sign * 2 / param.sqrt_disc
 
@@ -95,7 +95,7 @@ def dell_dm(param: MeridianParam, precision: Precision = DEFAULT_PRECISION) -> m
         m = param.m
         l = longitude_eigenvalue(param, 1, precision)
         den = 1 - 1 / (l * l)
-        if fabs(den) < mpf(10) ** (-(precision.working_digits - 4)):
+        if fabs(den) < precision.degeneracy_eps:
             raise DegenerateDiscriminant("l^2 = 1; implicit derivative degenerates")
         return (2 * m - 1 + 1 / (m * m) - 2 / (m * m * m)) / den
 

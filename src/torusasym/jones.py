@@ -20,7 +20,7 @@ from mpmath import arg, cos, cosh, exp, im, log, mp, mpc, mpf, pi, re, sin, sinh
 from .contour import LineContour, integrate_line
 from .errors import DegenerateDenominator, InvalidXi
 from .precision import DEFAULT_PRECISION, Precision, to_mpc
-from .torus import TorusKnot, _tau_raw
+from .torus import TorusKnot, _framing_exponent, _tau_raw
 
 # absolute guard for recognizing xi as an exact multiple of 2 pi i
 ROOT_OF_UNITY_SNAP = mpf("1e-9")
@@ -63,9 +63,13 @@ class EvalPoint:
             return PoleSet(knot).index_near(half, _pole_tolerance(knot, precision)) is not None
 
 
-def _nearest_2pii_multiple(xi) -> tuple[int, mpf]:
+def _nearest_2pii_multiple(xi) -> int | None:
+    """m with |xi - 2 pi i m| < ROOT_OF_UNITY_SNAP, or None: the one test for
+    xi on a multiple of 2 pi i, used by every evaluator and the classifier."""
     m = int(mp.nint(im(xi) / (2 * pi)))
-    return m, abs(xi - 2 * pi * mpc(0, 1) * m)
+    if abs(xi - 2 * pi * mpc(0, 1) * m) < ROOT_OF_UNITY_SNAP:
+        return m
+    return None
 
 
 def _sum_exponents(knot: TorusKnot, N: int) -> list[tuple[int, int]]:
@@ -99,10 +103,10 @@ def jones_sum(
         raise ValueError("N must be a positive integer")
     with precision.workdps():
         xi = to_mpc(xi)
-        m, dist = _nearest_2pii_multiple(xi)
+        m = _nearest_2pii_multiple(xi)
         terms = _sum_exponents(knot, N)
         four_n = mpf(4 * N)
-        if dist < ROOT_OF_UNITY_SNAP:
+        if m is not None:
             xi0 = 2 * pi * mpc(0, 1) * m
             num_d = mpc(0)
             for p4, q4 in terms:
@@ -110,7 +114,7 @@ def jones_sum(
                 num_d += P * exp(xi0 * P) - Q * exp(xi0 * Q)
             return num_d / cosh(xi0 / 2)
         den = 2 * sinh(xi / 2)
-        if abs(den) < mpf(10) ** (-(precision.working_digits - 4)):
+        if abs(den) < precision.degeneracy_eps:
             raise DegenerateDenominator(
                 "2 sinh(xi/2) nearly vanishes but xi is not an exact 2 pi i multiple"
             )
@@ -204,18 +208,19 @@ def jones_integral(
     on the parallel line through the saddle xi/2, where the Gaussian factor
     decays monotonically, and the residues of the poles crossed by the shift
     are added in closed form.  By Cauchy's theorem the value is the defining
-    integral itself.  This is the verification path; it refuses N > 5000,
-    where the sum is the intended evaluator.
+    integral itself.  This is the verification path; it refuses N above
+    _INTEGRAL_MAX_N (5000), where the sum is the intended evaluator.
     """
     if point.N > _INTEGRAL_MAX_N:
-        raise ValueError("integral path is a verification device; use jones_sum for N > 5000")
+        raise ValueError(
+            "integral path is a verification device; use jones_sum for N > %d" % _INTEGRAL_MAX_N
+        )
     with precision.workdps():
         xi = to_mpc(point.xi)
         N = point.N
-        m, dist = _nearest_2pii_multiple(xi)
-        if dist < ROOT_OF_UNITY_SNAP:
+        if _nearest_2pii_multiple(xi) is not None:
             raise InvalidXi("integral representation undefined at multiples of 2 pi i")
-        a, b, ab = knot.a, knot.b, knot.ab
+        ab = knot.ab
         phi = _contour_angle(knot, xi)
         tol = precision.rel_tol
 
@@ -231,7 +236,7 @@ def jones_integral(
             1
             / (2 * sinh(xi / 2))
             * sqrt(ab * N / (pi * xi))
-            * exp(-ab * N * xi / 4 + (ab - mpf(a) / b - mpf(b) / a) * xi / (4 * N))
+            * exp(-ab * N * xi / 4 + _framing_exponent(knot, xi, N))
         )
 
         def integrand(z):
@@ -256,7 +261,7 @@ def unknot_bracket(N: int, xi, precision: Precision = DEFAULT_PRECISION) -> tupl
     with precision.workdps():
         xi = to_mpc(xi)
         den = sinh(xi / (2 * N))
-        if abs(den) < mpf(10) ** (-(precision.working_digits - 4)):
+        if abs(den) < precision.degeneracy_eps:
             raise DegenerateDenominator("sinh(xi/(2N)) vanishes")
         bracket = sinh(xi / 2) / den
         # bracket * xi / (2 N sinh(xi/2)) simplifies to the nonsingular form

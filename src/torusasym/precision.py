@@ -51,6 +51,12 @@ class Precision:
         """Scale-free guard at half the working digits (pole / snap tests)."""
         return mpf(10) ** (-(self.working_digits // 2))
 
+    @property
+    def degeneracy_eps(self) -> mpf:
+        """Degeneracy guard four digits short of working precision: a smaller
+        denominator counts as vanishing."""
+        return mpf(10) ** (-(self.working_digits - 4))
+
 
 DEFAULT_PRECISION = Precision()
 
@@ -58,8 +64,3 @@ DEFAULT_PRECISION = Precision()
 def to_mpc(x) -> mpc:
     """Coerce int/float/complex/mpf/mpc/str to mpc at the current precision."""
     return mpc(mpmathify(x))
-
-
-def nstr(x, digits: int) -> str:
-    """Deterministic decimal string of an mpf/mpc value."""
-    return mp.nstr(x, digits)

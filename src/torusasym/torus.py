@@ -93,15 +93,26 @@ def _pole_tolerance(knot: TorusKnot, precision: Precision) -> mpf:
     return precision.half_eps * pi / knot.ab
 
 
+def _removable_limit(f, z, ab: int) -> mpc:
+    """Richardson limit of f at a removable 0/0 point z: the mean of f at the
+    four points z +- h, z +- ih with h = 10^(-dps/4) pi/(ab)."""
+    h = mpf(10) ** (-(mp.dps // 4)) * pi / ab
+    shifts = (h, -h, mpc(0, 1) * h, -mpc(0, 1) * h)
+    return sum(f(z + s) for s in shifts) / 4
+
+
+def _framing_exponent(knot: TorusKnot, xi, N: int) -> mpc:
+    """(ab - a/b - b/a) xi / (4N), the exponent of the framing factor."""
+    return (knot.ab - mpf(knot.a) / knot.b - mpf(knot.b) / knot.a) * xi / (4 * N)
+
+
 def _tau_raw(knot: TorusKnot, z, precision: Precision, depth: int = 0) -> mpc:
     """tau without the pole guard; removable 0/0 points get a Richardson limit."""
     a, b, ab = knot.a, knot.b, knot.ab
     den = sinh(ab * z)
     if abs(den) < mpf(10) ** (-(mp.dps // 2)) and depth == 0:
         # near a kernel zero; genuine poles were excluded by the caller
-        h = mpf(10) ** (-(mp.dps // 4)) * pi / ab
-        shifts = (h, -h, mpc(0, 1) * h, -mpc(0, 1) * h)
-        return sum(_tau_raw(knot, z + s, precision, depth=1) for s in shifts) / 4
+        return _removable_limit(lambda w: _tau_raw(knot, w, precision, depth=1), z, ab)
     return 2 * sinh(a * z) * sinh(b * z) / den
 
 
@@ -142,9 +153,7 @@ def _alexander_at_log(knot: TorusKnot, z, precision: Precision, depth: int = 0) 
     den = sinh(a * z) * sinh(b * z)
     scale = max(mpf(1), abs(sinh(ab * z) * sinh(z)))
     if abs(den) < mpf(10) ** (-(mp.dps // 2)) * scale and depth == 0:
-        h = mpf(10) ** (-(mp.dps // 4)) * pi / ab
-        shifts = (h, -h, mpc(0, 1) * h, -mpc(0, 1) * h)
-        return sum(_alexander_at_log(knot, z + s, precision, depth=1) for s in shifts) / 4
+        return _removable_limit(lambda w: _alexander_at_log(knot, w, precision, depth=1), z, ab)
     return sinh(ab * z) * sinh(z) / den
 
 

@@ -18,29 +18,19 @@ from torusasym import (
     EvalPoint,
     ExpansionSpec,
     Precision,
-    T,
     TorusKnot,
     a_polynomial_residual,
     alexander,
-    alpha_beta_from_k,
-    cs_closed_form,
-    cs_extract,
     dell_dm,
-    enumerate_components,
-    equivalent,
     expand,
     expand_root_of_unity,
+    identities,
     jones_integral,
     jones_sum,
     longitude_eigenvalue,
-    longitude_log_lift,
     meridian_param,
     speculation_residual,
-    torsion_lambda,
     torsion_lambda_fig8,
-    torsion_mu_fig8,
-    transported_component_form,
-    valid_k_values,
 )
 
 P_ORACLE = Precision(working_digits=30, target_rel_tol=1e-8)
@@ -48,18 +38,6 @@ P_EXPAND = Precision(working_digits=30, target_rel_tol=1e-12)
 
 ORACLE_KNOTS = [TorusKnot(2, 3), TorusKnot(2, 5), TorusKnot(3, 5)]
 ORACLE_XIS = [mpf(1), mpc(1, 2), mpc("-0.5", 3)]
-
-
-def _knots_up_to(bound):
-    out = []
-    for a in range(2, bound // 3 + 1):
-        for b in range(3, bound // a + 1, 2):
-            try:
-                knot = TorusKnot(a, b)
-            except ValueError:
-                continue
-            out.append(knot)
-    return out
 
 
 def _s(x, digits=17):
@@ -168,77 +146,39 @@ def criterion_5_convergence_limit():
 
 
 def criterion_6_torsion_identity():
-    worst = mpf(0)
-    count = 0
-    for knot in _knots_up_to(35):
-        for k in valid_k_values(knot):
-            alpha, beta = alpha_beta_from_k(knot, k)
-            diff = fabs(T(knot, k, P_EXPAND) - knot.ab * torsion_lambda(knot, alpha, beta, P_EXPAND))
-            worst = max(worst, diff)
-            count += 1
+    check = identities.meridian_torsion(identities.knots_up_to(35), P_EXPAND, perturb=0)
     return {
         "name": "meridian torsion magnitude identity",
-        "samples": count,
-        "max_deviation": _s(worst),
+        "samples": check.samples,
+        "max_deviation": _s(check.deviation),
         "tolerance": "1e-13",
-        "pass": bool(worst < mpf("1e-13")),
+        "pass": bool(check.deviation < mpf("1e-13")),
     }
 
 
 def criterion_7_cs_equality():
-    rng = random.Random(424242)
-    worst = mpf(0)
-    all_equivalent = True
-    count = 0
-    for knot in _knots_up_to(35):
-        for comp in enumerate_components(knot):
-            for _ in range(5):
-                u = mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-                xi = u + 2 * pi * mpc(0, 1)
-                for k in (comp.k1, comp.k2):
-                    closed = cs_closed_form(knot, k, xi, P_EXPAND)
-                    v = longitude_log_lift(knot, k, u, P_EXPAND)
-                    reference = cs_extract(closed, u, v, P_EXPAND)
-                    for eps in (1, -1):
-                        moved = transported_component_form(knot, k, u, eps, P_EXPAND)
-                        if not equivalent(moved, closed, P_EXPAND):
-                            all_equivalent = False
-                        worst = max(
-                            worst, cs_extract(moved, u, v, P_EXPAND).distance(reference, P_EXPAND)
-                        )
-                        count += 1
+    # a transported element that is not G-equivalent counts deviation 1
+    check = identities.cs_closed_vs_component(
+        identities.knots_up_to(35), P_EXPAND, random.Random(424242), perturb=0
+    )
     return {
         "name": "Chern-Simons closed form vs component form",
-        "samples": count,
-        "max_mod_pi2_deviation": _s(worst),
+        "samples": check.samples,
+        "max_mod_pi2_deviation": _s(check.deviation),
         "tolerance": "1e-10",
-        "pass": bool(all_equivalent and worst < mpf("1e-10")),
+        "pass": bool(check.deviation < mpf("1e-10")),
     }
 
 
 def criterion_8_component_combinatorics():
-    ok = True
-    worst = mpf(0)
-    knots = _knots_up_to(105)
-    for knot in knots:
-        comps = enumerate_components(knot)
-        ks = valid_k_values(knot)
-        if len(comps) != (knot.a - 1) * (knot.b - 1) // 2:
-            ok = False
-        if sorted(k for c in comps for k in (c.k1, c.k2)) != ks:
-            ok = False
-        for k in ks:
-            alpha, beta = alpha_beta_from_k(knot, k)
-            from mpmath import sin
-
-            lhs = (sin(alpha * pi / knot.a) * sin(beta * pi / knot.b)) ** 2
-            rhs = (sin(k * pi / knot.a) * sin(k * pi / knot.b)) ** 2
-            worst = max(worst, fabs(lhs - rhs))
+    knots = identities.knots_up_to(105)
+    combinatorics = identities.component_combinatorics(knots, perturb=0)
+    sin2 = identities.sin2_label_invariance(knots, P_EXPAND, perturb=0)
     return {
         "name": "character-variety combinatorics",
-        "knots": len(knots),
-        "max_sin2_deviation": _s(worst),
-        "pass": bool(ok and worst < mpf("1e-12")),
+        "knots": combinatorics.samples,
+        "max_sin2_deviation": _s(sin2.deviation),
+        "pass": bool(combinatorics.deviation == 0 and sin2.deviation < mpf("1e-12")),
     }
 
 

@@ -95,6 +95,16 @@ class TestEval:
         assert code == 3
         assert json.loads(err)["error"] == "InvalidXi"
 
+    def test_integral_refuses_large_n_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["eval", "--a", "2", "--b", "3", "--N", "5001", "--xi", "1+1i", "--method", "integral"],
+            capsys,
+        )
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "argument"
+        assert "5000" in record["message"]
+
     def test_precision_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("TORUSASYM_PRECISION", "21")
         code, out, _ = run_cli(
@@ -165,6 +175,22 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["overall"] == "FAIL"
 
+    def test_perturbed_statuses(self, capsys):
+        # the integer combinatorics check cannot see a 1e-6 fault under its
+        # 0.5 tolerance; every continuous identity must
+        code, out, _ = run_cli(["verify", "--bound", "15", "--perturb", "1e-6"], capsys)
+        assert code == 1
+        statuses = {c["identity"]: c["status"] for c in json.loads(out)["checks"]}
+        assert statuses == {
+            "component-count-and-two-to-one": "PASS",
+            "sin2-label-invariance": "FAIL",
+            "meridian-torsion-identity": "FAIL",
+            "group-action-relations": "FAIL",
+            "cs-closed-form-vs-component-form": "FAIL",
+            "longitude-lift-derivative": "FAIL",
+            "partner-preimage-equivalence": "RECORDED",
+        }
+
 
 class TestRegion:
     def test_grid(self, capsys, tmp_path):
@@ -191,6 +217,25 @@ class TestRegion:
         assert any(c == "pole_marker" for c in cells.values())
         boundary = [k for k, c in cells.items() if c == "boundary_oscillates"]
         assert any(abs(complex(float(x), float(y))) - 2 * math.pi / 6 < 1e-9 for x, y in boundary)
+
+
+    def test_excludes_points_near_2pii_multiple(self, capsys, tmp_path):
+        # Re xi = 5e-10 is within the 1e-9 snap of 2 pi i, where the
+        # classifier is undefined: the row is excluded, not a numeric failure
+        csv_path = tmp_path / "region.csv"
+        code, _, err = run_cli(
+            [
+                "region", "--a", "2", "--b", "3", "--re-min", "5e-10", "--re-max", "1",
+                "--im-min", repr(2 * math.pi), "--im-max", "7", "--step", "1",
+                "--csv", str(csv_path),
+            ],
+            capsys,
+        )
+        assert code == 0, err
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        first = rows[0]
+        assert (float(first[0]), float(first[1])) == pytest.approx((5e-10, 2 * math.pi))
+        assert first[2] == "excluded_2pii_multiple"
 
 
 class TestDeterminism:
