@@ -31,7 +31,6 @@ from .contour import (
     laurent_coefficients,
 )
 from .torus import (
-    PoleSet,
     TorusKnot,
     alexander,
     pole_indices,

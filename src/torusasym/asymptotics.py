@@ -1,9 +1,21 @@
 """Asymptotic expansions of the colored Jones polynomial for large color N.
 
-Three expansion cases cover xi off the multiples of 2 pi i, selected by the
-sign of Re xi and by whether xi/2 is a genuine pole of the torsion kernel;
-a fourth case handles xi = 2 pi i itself, where q is a primitive root of
-unity and the leading growth is (N/xi)^(3/2).
+Off the multiples of 2 pi i every expansion case has the same parts: the
+framing prefactor, the even derivative ladder of the torsion kernel tau at
+xi/2, and the signed residue terms (-1)^(k+1) A_k of the genuine poles
+k pi i/(ab) with k <= k_max.  The three cases differ only in k_max and in
+how the ladder is read:
+
+* Re xi > 0: k_max = 0, no residue terms;
+* Re xi <= 0: k_max = floor(ab |xi| / (2 pi)), which is 0 inside the
+  convergent semicircle |xi| < 2 pi/(ab);
+* xi/2 on the genuine pole M pi i/(ab) (the pole case): k_max = M, the
+  ladder comes from Laurent coefficients on a circle inside the pole
+  spacing, and the boundary term k = M carries half weight.
+
+A fourth case handles xi = 2 pi i itself, where q is a primitive root of
+unity and the leading growth is (N/xi)^(3/2).  All four cases share one
+report assembly next to the exact-sum oracle.
 
 Sign conventions, fixed once and validated against the exact sum evaluator:
 
@@ -17,15 +29,15 @@ Sign conventions, fixed once and validated against the exact sum evaluator:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from mpmath import exp, fabs, floor, im, mp, mpc, mpf, pi, re, sin, sinh, sqrt
+from mpmath import exp, fabs, floor, mp, mpc, mpf, pi, re, sin, sinh, sqrt
 
 from .errors import CaseUndefined, InvalidXi
 from .precision import DEFAULT_PRECISION, Precision, to_mpc
 from .contour import laurent_coefficients
-from .jones import _nearest_2pii_multiple, jones_sum
-from .torus import TorusKnot, _framing_exponent, _tau_raw
+from .jones import _im_xi_negative, _nearest_2pii_multiple, jones_sum
+from .torus import TorusKnot, _framing_exponent, _tau_raw, pole_indices
 from .torus import tau_even_derivatives, ztau_even_derivatives
 
 # guard for recognizing ab|xi|/(2 pi) as an exact integer / xi as purely imaginary
@@ -51,7 +63,7 @@ def torsion_weight(
     knot: TorusKnot, k: int, precision: Precision = DEFAULT_PRECISION
 ) -> mpf:
     """T_k = 16 sin^2(k pi/a) sin^2(k pi/b) / (ab); zero iff a | k or b | k."""
-    if k % knot.a == 0 or k % knot.b == 0:
+    if not knot.is_pole_index(k):
         return mpf(0)
     with precision.workdps():
         sa = sin(k * pi / knot.a)
@@ -67,7 +79,7 @@ def torsion_weight_sqrt_signed(
     Exactly zero on divisible k, where a rounded sine residue would
     otherwise survive multiplication by a large exponential factor.
     """
-    if k % knot.a == 0 or k % knot.b == 0:
+    if not knot.is_pole_index(k):
         return mpf(0)
     with precision.workdps():
         return 4 * sin(k * pi / knot.a) * sin(k * pi / knot.b) / sqrt(mpf(knot.ab))
@@ -110,7 +122,7 @@ class ExpansionSpec:
             raise ValueError("N must be a positive integer")
         if self.correction_order < 0:
             raise ValueError("correction_order must be non-negative")
-        if float(im(to_mpc(self.xi))) < -1e-15:
+        if _im_xi_negative(self.xi):
             raise ValueError("Im xi must be non-negative")
 
 
@@ -118,11 +130,11 @@ class ExpansionSpec:
 class ExpansionReport:
     """Assembled approximant next to the exact-sum oracle.
 
-    approximant = prefactor * (leading + sum of exp_term values + sum of
-    corrections), except in the root-of-unity case where the exp_terms are
-    the per-k pieces of the leading sum itself (so leading is excluded from
-    the part total there).  residual is relative while |oracle| > 1e-300,
-    absolute below that.
+    approximant = prefactor * parts_total(), the bracket summed as
+    (leading + sum of exp_term values) + sum of corrections, except in the
+    root-of-unity case where the exp_terms are the per-k pieces of the
+    leading sum itself (so leading is left out there).  residual is relative
+    while |oracle| > 1e-300, absolute below that.
     """
 
     case_tag: str
@@ -139,10 +151,11 @@ class ExpansionReport:
     residual: mpf = mpf(0)
 
     def parts_total(self) -> mpc:
-        total = sum((t for _, t in self.exp_terms), mpc(0)) + sum(self.corrections, mpc(0))
+        """The bracket the prefactor multiplies into the approximant."""
+        total = sum((t for _, t in self.exp_terms), mpc(0))
         if self.case_tag != CASE_ROOT_OF_UNITY:
-            total += self.leading
-        return total
+            total = self.leading + total
+        return total + sum(self.corrections, mpc(0))
 
 
 def _residual(approximant, oracle) -> mpf:
@@ -157,9 +170,7 @@ def _pole_case_index(knot: TorusKnot, xi) -> int | None:
         return None
     ratio = knot.ab * fabs(xi) / (2 * pi)
     k = int(mp.nint(ratio))
-    if k < 1 or fabs(ratio - k) > _BOUNDARY_GUARD:
-        return None
-    if k % knot.a == 0 or k % knot.b == 0:
+    if k < 1 or fabs(ratio - k) > _BOUNDARY_GUARD or not knot.is_pole_index(k):
         return None
     return k
 
@@ -175,6 +186,17 @@ def _guarded_floor(x) -> int:
 def _case_prefactor(knot: TorusKnot, xi, N: int) -> mpc:
     """e^((ab - a/b - b/a) xi / (4N)) / (2 sinh(xi/2))."""
     return exp(_framing_exponent(knot, xi, N)) / (2 * sinh(xi / 2))
+
+
+def _report(oracle_xi, precision: Precision, **parts) -> ExpansionReport:
+    """Report of one expansion case from its parts (the ExpansionReport fields
+    up to corrections), with the exact sum at oracle_xi as the oracle."""
+    report = ExpansionReport(**parts)
+    approximant = report.prefactor * report.parts_total()
+    oracle = jones_sum(report.knot, report.N, oracle_xi, precision)
+    return replace(
+        report, approximant=approximant, oracle=oracle, residual=_residual(approximant, oracle)
+    )
 
 
 def expand(spec: ExpansionSpec, precision: Precision = DEFAULT_PRECISION) -> ExpansionReport:
@@ -197,69 +219,42 @@ def expand(spec: ExpansionSpec, precision: Precision = DEFAULT_PRECISION) -> Exp
                 "no expansion case at xi = %d * 2 pi i; only 2 pi i itself is covered" % m
             )
 
+        # the case fixes the highest residue index and how the ladder is read
         k_pole = _pole_case_index(knot, xi)
-
         if k_pole is not None:
-            # snap xi onto the exact pole-case point before evaluating
+            # snap xi onto the exact pole-case point; tau_even_derivatives
+            # refuses a pole, so the ladder comes from the Laurent
+            # coefficients on a circle inside the pole spacing
             xi = 2 * k_pole * pi * mpc(0, 1) / ab
-            prefactor = _case_prefactor(knot, xi, N)
-            z0 = xi / 2
-            radius = pi / (2 * ab)
-            orders = [0] + [2 * j for j in range(1, J + 1)]
+            orders = [2 * j for j in range(J + 1)]
             coeffs = laurent_coefficients(
-                lambda z: _tau_raw(knot, z, precision), z0, radius, orders, precision=precision
+                lambda z: _tau_raw(knot, z, precision), xi / 2, pi / (2 * ab), orders,
+                precision=precision,
             )
-            leading = coeffs[0]
-            exp_terms = []
-            for k in range(1, k_pole):
-                if k % knot.a == 0 or k % knot.b == 0:
-                    continue
-                exp_terms.append((k, (-1) ** (k + 1) * residue_term(knot, k, xi, N, precision)))
-            boundary = mpf(1) / 2 * (-1) ** (k_pole + 1) * residue_term(knot, k_pole, xi, N, precision)
-            exp_terms.append((k_pole, boundary))
-            corrections = []
-            for idx, j in enumerate(range(1, J + 1)):
-                c2j = coeffs[1 + idx]
-                corrections.append(
-                    mp.factorial(2 * j) * c2j / mp.factorial(j) * (xi / (4 * ab * N)) ** j
-                )
-            case = CASE_POLE
+            ladder = [mp.factorial(n) * c for n, c in zip(orders, coeffs)]
+            case, k_max = CASE_POLE, k_pole
         else:
-            prefactor = _case_prefactor(knot, xi, N)
-            derivs = tau_even_derivatives(knot, xi / 2, J, precision)
-            leading = derivs[0]
-            exp_terms = []
-            if re(xi) <= 0:
-                k_max = _guarded_floor(ab * fabs(xi) / (2 * pi))
-                for k in range(1, k_max + 1):
-                    if k % knot.a == 0 or k % knot.b == 0:
-                        continue
-                    exp_terms.append(
-                        (k, (-1) ** (k + 1) * residue_term(knot, k, xi, N, precision))
-                    )
-                case = CASE_NOT_POLE_NONPOS_RE
+            ladder = tau_even_derivatives(knot, xi / 2, J, precision)
+            if re(xi) > 0:
+                case, k_max = CASE_NOT_POLE_POS_RE, 0
             else:
-                case = CASE_NOT_POLE_POS_RE
-            corrections = [
-                derivs[j] / mp.factorial(j) * (xi / (4 * ab * N)) ** j for j in range(1, J + 1)
-            ]
+                case, k_max = CASE_NOT_POLE_NONPOS_RE, _guarded_floor(ab * fabs(xi) / (2 * pi))
 
-        parts = leading + sum((t for _, t in exp_terms), mpc(0)) + sum(corrections, mpc(0))
-        approximant = prefactor * parts
-        oracle = jones_sum(knot, N, xi, precision)
-        return ExpansionReport(
-            case_tag=case,
-            knot=knot,
-            xi=spec.xi,
-            N=N,
-            correction_order=J,
-            prefactor=prefactor,
-            leading=leading,
-            exp_terms=tuple(exp_terms),
-            corrections=tuple(corrections),
-            approximant=approximant,
-            oracle=oracle,
-            residual=_residual(approximant, oracle),
+        exp_terms = [
+            (k, (-1) ** (k + 1) * residue_term(knot, k, xi, N, precision))
+            for k in range(1, k_max + 1)
+            if knot.is_pole_index(k)
+        ]
+        if case == CASE_POLE:
+            # the boundary term at xi/2 itself carries half weight
+            exp_terms[-1] = (k_pole, exp_terms[-1][1] / 2)
+        corrections = [
+            ladder[j] / mp.factorial(j) * (xi / (4 * ab * N)) ** j for j in range(1, J + 1)
+        ]
+        return _report(
+            xi, precision, case_tag=case, knot=knot, xi=spec.xi, N=N, correction_order=J,
+            prefactor=_case_prefactor(knot, xi, N), leading=ladder[0],
+            exp_terms=tuple(exp_terms), corrections=tuple(corrections),
         )
 
 
@@ -280,41 +275,28 @@ def expand_root_of_unity(
     with precision.workdps():
         ab = knot.ab
         xi = 2 * pi * mpc(0, 1)
-        prefactor = exp(_framing_exponent(knot, xi, N))
         front = pi ** mpf("1.5") / (2 * ab) * (N / xi) ** mpf("1.5")
-        exp_terms = []
-        for k in range(1, ab):
-            if k % knot.a == 0 or k % knot.b == 0:
-                continue
-            term = (
+        exp_terms = [
+            (
+                k,
                 front
                 * (-1) ** (k + 1)
                 * k**2
                 * exp(saddle_exponent(knot, k, xi, precision) * N / xi)
-                * torsion_weight_sqrt_signed(knot, k, precision)
+                * torsion_weight_sqrt_signed(knot, k, precision),
             )
-            exp_terms.append((k, term))
-        leading = sum((t for _, t in exp_terms), mpc(0))
+            for k in pole_indices(knot, ab - 1)
+        ]
         a_coeffs = ztau_even_derivatives(knot, max(j_max, 1), precision)
         corrections = [
             a_coeffs[j] / (4 * mp.factorial(j)) * (xi / (4 * ab * N)) ** (j - 1)
             for j in range(1, j_max + 1)
         ]
-        approximant = prefactor * (leading + sum(corrections, mpc(0)))
-        oracle = jones_sum(knot, N, xi, precision)
-        return ExpansionReport(
-            case_tag=CASE_ROOT_OF_UNITY,
-            knot=knot,
-            xi=complex(0, float(2 * pi)),
-            N=N,
-            correction_order=j_max,
-            prefactor=prefactor,
-            leading=leading,
-            exp_terms=tuple(exp_terms),
-            corrections=tuple(corrections),
-            approximant=approximant,
-            oracle=oracle,
-            residual=_residual(approximant, oracle),
+        return _report(
+            xi, precision, case_tag=CASE_ROOT_OF_UNITY, knot=knot, xi=complex(0, float(2 * pi)),
+            N=N, correction_order=j_max, prefactor=exp(_framing_exponent(knot, xi, N)),
+            leading=sum((t for _, t in exp_terms), mpc(0)),
+            exp_terms=tuple(exp_terms), corrections=tuple(corrections),
         )
 
 
@@ -328,7 +310,7 @@ def classify_region(knot: TorusKnot, xi, precision: Precision = DEFAULT_PRECISIO
     """
     with precision.workdps():
         xi = to_mpc(xi)
-        if im(xi) < -mpf("1e-15"):
+        if _im_xi_negative(xi):
             raise InvalidXi("Im xi must be non-negative")
         if _nearest_2pii_multiple(xi) is not None:
             raise InvalidXi("classification undefined at multiples of 2 pi i")

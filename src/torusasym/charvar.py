@@ -14,7 +14,7 @@ from mpmath import mpc, pi
 
 from .errors import InvalidK, ParityViolation
 from .precision import DEFAULT_PRECISION, Precision, to_mpc
-from .torus import TorusKnot
+from .torus import TorusKnot, pole_indices
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class RepIndex:
 
 def valid_k_values(knot: TorusKnot) -> list[int]:
     """Residue indices 1 <= k <= ab-1 with a ∤ k and b ∤ k, ascending."""
-    return [k for k in range(1, knot.ab) if k % knot.a and k % knot.b]
+    return pole_indices(knot, knot.ab - 1)
 
 
 def alpha_beta_from_k(knot: TorusKnot, k: int) -> tuple[int, int]:
@@ -47,7 +47,7 @@ def alpha_beta_from_k(knot: TorusKnot, k: int) -> tuple[int, int]:
     """
     if k < 1:
         raise InvalidK("k must be positive")
-    if k % knot.a == 0 or k % knot.b == 0:
+    if not knot.is_pole_index(k):
         raise InvalidK(f"k={k} divisible by a or b for {knot}")
     alpha = k % knot.a
     beta_prime = k % knot.b

@@ -127,9 +127,8 @@ def snap_special_xi(knot: TorusKnot, xi: complex) -> complex | mpc:
             if m != 0 and abs(y - 2 * pi * m) < XI_SNAP:
                 return 2 * pi * mpc(0, 1) * m
             k = int(mp.nint(y * knot.ab / (2 * pi)))
-            if k != 0 and abs(y - 2 * pi * k / knot.ab) < XI_SNAP:
-                if k % knot.a and k % knot.b:
-                    return 2 * pi * mpc(0, 1) * k / knot.ab
+            if knot.is_pole_index(k) and abs(y - 2 * pi * k / knot.ab) < XI_SNAP:
+                return 2 * pi * mpc(0, 1) * k / knot.ab
         return xi
 
 
@@ -266,6 +265,11 @@ def cmd_expand(args) -> int:
 def cmd_verify(args) -> int:
     precision = build_precision(args)
     knots = identities.knots_up_to(args.bound)
+    if not knots:
+        # every check over no knots would pass vacuously
+        raise CliError(
+            "no torus knot has ab <= %d; the smallest is T(2,3) with ab = 6" % args.bound
+        )
     checks = [
         {
             "identity": check.identity,
@@ -330,7 +334,7 @@ def cmd_region(args) -> int:
             y = k * pi / knot.ab
             if y > args.im_max:
                 break
-            if k % knot.a and k % knot.b and y >= args.im_min:
+            if knot.is_pole_index(k) and y >= args.im_min:
                 rows.append([mp.nstr(mpf(0), 12), mp.nstr(y, 12), "pole_marker"])
             k += 1
     _write_csv(args.csv, ["re", "im", "class"], rows)

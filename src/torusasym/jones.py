@@ -20,13 +20,21 @@ from mpmath import arg, cos, cosh, exp, im, log, mp, mpc, mpf, pi, re, sin, sinh
 from .contour import LineContour, integrate_line
 from .errors import DegenerateDenominator, InvalidXi
 from .precision import DEFAULT_PRECISION, Precision, to_mpc
-from .torus import TorusKnot, _framing_exponent, _tau_raw
+from .torus import TorusKnot, _framing_exponent, _pole_index_near, _tau_raw
 
 # absolute guard for recognizing xi as an exact multiple of 2 pi i
 ROOT_OF_UNITY_SNAP = mpf("1e-9")
 
 # verification path only; beyond this the sum is the intended evaluator
 _INTEGRAL_MAX_N = 5000
+
+# Im xi below this counts as negative, outside every evaluator's domain
+_IM_XI_FLOOR = -1e-15
+
+
+def _im_xi_negative(xi) -> bool:
+    """Whether xi lies below the upper half plane Im xi >= 0 (up to _IM_XI_FLOOR)."""
+    return float(im(to_mpc(xi))) < _IM_XI_FLOOR
 
 
 @dataclass(frozen=True)
@@ -39,7 +47,7 @@ class EvalPoint:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError("N must be a positive integer")
-        if float(im(to_mpc(self.xi))) < -1e-15:
+        if _im_xi_negative(self.xi):
             raise ValueError("Im xi must be non-negative")
 
     @property
@@ -56,11 +64,8 @@ class EvalPoint:
 
     def xi_half_is_pole(self, knot: TorusKnot, precision: Precision = DEFAULT_PRECISION) -> bool:
         """Whether xi/2 sits on a genuine pole of the torsion kernel."""
-        from .torus import PoleSet, _pole_tolerance
-
         with precision.workdps():
-            half = to_mpc(self.xi) / 2
-            return PoleSet(knot).index_near(half, _pole_tolerance(knot, precision)) is not None
+            return _pole_index_near(knot, to_mpc(self.xi) / 2, precision) is not None
 
 
 def _nearest_2pii_multiple(xi) -> int | None:
@@ -159,7 +164,7 @@ def _contour_angle(knot: TorusKnot, xi) -> mpf:
             continue
         crossing = (im(xi) - re(xi) * mp.tan(phi)) / 2
         k0 = int(mp.nint(crossing * knot.ab / pi))
-        if k0 % knot.a == 0 or k0 % knot.b == 0:
+        if not knot.is_pole_index(k0):
             return phi  # nearest grid point is a removable zero, not a pole
         if abs(crossing - k0 * pi / knot.ab) >= gap:
             return phi
@@ -182,7 +187,7 @@ def _crossed_pole_terms(knot: TorusKnot, xi, N: int, crossing) -> mpc:
     upper = int(mp.ceil(hi * ab / pi)) + 1
     while k <= upper:
         y = k * pi / ab
-        if k != 0 and lo < y < hi and k % a and k % b:
+        if lo < y < hi and knot.is_pole_index(k):
             residue = (
                 (-1) ** (k + 1)
                 * 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpc, mpf, im, log, pi, re, sinh
+from mpmath import mp, mpc, mpf, im, log, pi, sinh
 
 from .contour import cauchy_derivatives
 from .errors import PoleHit
@@ -39,58 +39,47 @@ class TorusKnot:
     def __str__(self) -> str:
         return f"T({self.a},{self.b})"
 
+    def is_pole_index(self, k: int) -> bool:
+        """Whether k pi i/(ab) is a genuine pole of tau: a ∤ k and b ∤ k."""
+        return bool(k % self.a and k % self.b)
+
 
 def pole_indices(knot: TorusKnot, k_max: int) -> list[int]:
     """All k in [1, k_max] with a ∤ k and b ∤ k, ascending."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return [k for k in range(1, k_max + 1) if k % knot.a and k % knot.b]
-
-
-@dataclass(frozen=True)
-class PoleSet:
-    """Genuine poles of tau: k*pi*i/(ab) for integer k not divisible by a or b."""
-
-    knot: TorusKnot
-
-    def indices(self, k_max: int) -> list[int]:
-        return pole_indices(self.knot, k_max)
-
-    def location(self, k: int) -> mpc:
-        return mpc(0, 1) * k * pi / self.knot.ab
-
-    def index_near(self, z, tol) -> int | None:
-        """Index k of the pole within distance tol of z, or None."""
-        z = to_mpc(z)
-        k = int(mp.nint(im(z) * self.knot.ab / pi))
-        if k % self.knot.a == 0 or k % self.knot.b == 0:
-            return None
-        if abs(z - self.location(k)) < tol:
-            return k
-        return None
-
-    def min_kernel_zero_distance(self, z, exclude_self_tol=None) -> mpf:
-        """Distance from z to the nearest zero m*pi*i/(ab) of sinh(ab z).
-
-        A point sitting on a (removable) zero excludes itself when
-        ``exclude_self_tol`` is given, so circle radii stay positive there.
-        """
-        z = to_mpc(z)
-        ab = self.knot.ab
-        m0 = int(mp.nint(im(z) * ab / pi))
-        best = None
-        for m in (m0 - 1, m0, m0 + 1):
-            d = abs(z - mpc(0, 1) * m * pi / ab)
-            if exclude_self_tol is not None and d < exclude_self_tol:
-                continue
-            if best is None or d < best:
-                best = d
-        return best
+    return [k for k in range(1, k_max + 1) if knot.is_pole_index(k)]
 
 
 def _pole_tolerance(knot: TorusKnot, precision: Precision) -> mpf:
     # scale-aware guard: half the working digits relative to the pole spacing
     return precision.half_eps * pi / knot.ab
+
+
+def _pole_index_near(knot: TorusKnot, z, precision: Precision) -> int | None:
+    """Index k of the genuine pole k pi i/(ab) within pole tolerance of z, or None."""
+    z = to_mpc(z)
+    k = int(mp.nint(im(z) * knot.ab / pi))
+    tol = _pole_tolerance(knot, precision)
+    if knot.is_pole_index(k) and abs(z - mpc(0, 1) * k * pi / knot.ab) < tol:
+        return k
+    return None
+
+
+def _kernel_zero_distance(knot: TorusKnot, z, precision: Precision) -> mpf:
+    """Distance from z to the nearest zero m pi i/(ab) of sinh(ab z) other than
+    z itself (a zero within pole tolerance of z), so circle radii stay positive."""
+    z = to_mpc(z)
+    ab = knot.ab
+    m0 = int(mp.nint(im(z) * ab / pi))
+    tol = _pole_tolerance(knot, precision)
+    distances = (abs(z - mpc(0, 1) * m * pi / ab) for m in (m0 - 1, m0, m0 + 1))
+    return min(d for d in distances if not d < tol)
+
+
+def _removable_eps() -> mpf:
+    """A denominator below 10^(-dps/2) marks a removable 0/0 point."""
+    return mpf(10) ** (-(mp.dps // 2))
 
 
 def _removable_limit(f, z, ab: int) -> mpc:
@@ -110,7 +99,7 @@ def _tau_raw(knot: TorusKnot, z, precision: Precision, depth: int = 0) -> mpc:
     """tau without the pole guard; removable 0/0 points get a Richardson limit."""
     a, b, ab = knot.a, knot.b, knot.ab
     den = sinh(ab * z)
-    if abs(den) < mpf(10) ** (-(mp.dps // 2)) and depth == 0:
+    if abs(den) < _removable_eps() and depth == 0:
         # near a kernel zero; genuine poles were excluded by the caller
         return _removable_limit(lambda w: _tau_raw(knot, w, precision, depth=1), z, ab)
     return 2 * sinh(a * z) * sinh(b * z) / den
@@ -125,8 +114,7 @@ def tau(knot: TorusKnot, z, precision: Precision = DEFAULT_PRECISION) -> mpc:
     """
     with precision.workdps():
         z = to_mpc(z)
-        poles = PoleSet(knot)
-        hit = poles.index_near(z, _pole_tolerance(knot, precision))
+        hit = _pole_index_near(knot, z, precision)
         if hit is not None:
             raise PoleHit(f"z within pole tolerance of index k={hit} for {knot}")
         return _tau_raw(knot, z, precision)
@@ -152,7 +140,7 @@ def _alexander_at_log(knot: TorusKnot, z, precision: Precision, depth: int = 0) 
     a, b, ab = knot.a, knot.b, knot.ab
     den = sinh(a * z) * sinh(b * z)
     scale = max(mpf(1), abs(sinh(ab * z) * sinh(z)))
-    if abs(den) < mpf(10) ** (-(mp.dps // 2)) * scale and depth == 0:
+    if abs(den) < _removable_eps() * scale and depth == 0:
         return _removable_limit(lambda w: _alexander_at_log(knot, w, precision, depth=1), z, ab)
     return sinh(ab * z) * sinh(z) / den
 
@@ -169,11 +157,9 @@ def tau_even_derivatives(
         raise ValueError("j_max must be non-negative")
     with precision.workdps():
         z0 = to_mpc(z0)
-        poles = PoleSet(knot)
-        tol = _pole_tolerance(knot, precision)
-        if poles.index_near(z0, tol) is not None:
+        if _pole_index_near(knot, z0, precision) is not None:
             raise PoleHit(f"derivative ladder requested on a pole of tau for {knot}")
-        radius = poles.min_kernel_zero_distance(z0, exclude_self_tol=tol) / 2
+        radius = _kernel_zero_distance(knot, z0, precision) / 2
         orders = [2 * j for j in range(j_max + 1)]
         f = lambda z: _tau_raw(knot, z, precision)
         return cauchy_derivatives(f, z0, radius, orders, precision=precision)

@@ -26,6 +26,7 @@ from conftest import assert_close
 
 P = Precision(30, 1e-12)
 K23 = TorusKnot(2, 3)
+K35 = TorusKnot(3, 5)
 
 
 class TestSaddleExponent:
@@ -143,6 +144,38 @@ class TestExpand:
         ):
             rep = expand(spec, P)
             assert_close(rep.prefactor * rep.parts_total(), rep.approximant, rel=mpf("1e-22"))
+
+    def test_pole_case_with_several_residue_terms(self):
+        # xi/2 = 7 pi i/15 is the k = 7 pole of T(3,5): the genuine k = 1, 2, 4
+        # below it enter with full weight, only the boundary term with half
+        xi = complex(0, float(14 * pi / 15))
+        reps = [expand(ExpansionSpec(K35, xi, n, 2), P) for n in (100, 200, 400, 800)]
+        assert reps[0].case_tag == CASE_POLE
+        assert [k for k, _ in reps[0].exp_terms] == [1, 2, 4, 7]
+        with P.workdps():
+            exact = 14 * pi * mpc(0, 1) / 15
+            for k, term in reps[0].exp_terms:
+                full = (-1) ** (k + 1) * A(K35, k, exact, 100, P)
+                assert_close(term, full / 2 if k == 7 else full, rel=mpf("1e-25"))
+        residuals = [rep.residual for rep in reps]
+        assert residuals == sorted(residuals, reverse=True)
+        assert residuals[-1] < mpf("1e-7")
+
+    @pytest.mark.parametrize(
+        "knot,xi,N,J,case",
+        [
+            (K23, 1 + 2j, 100, 2, CASE_NOT_POLE_POS_RE),
+            (K23, complex(-0.3, 0.5), 100, 1, CASE_NOT_POLE_NONPOS_RE),
+            (K23, complex(0, 3), 100, 2, CASE_NOT_POLE_NONPOS_RE),
+            (K35, complex(0, float(14 * pi / 15)), 100, 2, CASE_POLE),
+            (K23, complex(0, float(2 * pi)), 200, 2, CASE_ROOT_OF_UNITY),
+        ],
+    )
+    def test_parts_total_is_the_approximant_exactly(self, knot, xi, N, J, case):
+        rep = expand(ExpansionSpec(knot, xi, N, J), P)
+        assert rep.case_tag == case
+        with P.workdps():
+            assert rep.prefactor * rep.parts_total() == rep.approximant
 
     def test_case_undefined_at_higher_multiples(self):
         with pytest.raises(CaseUndefined):

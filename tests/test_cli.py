@@ -170,6 +170,15 @@ class TestVerify:
         for check in data["checks"]:
             assert check["status"] in ("PASS", "RECORDED")
 
+    def test_bound_without_knots_exits_2(self, capsys):
+        # no torus knot has ab <= 5, so every check would pass over no samples
+        code, out, err = run_cli(["verify", "--bound", "5"], capsys)
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "argument"
+        assert "T(2,3)" in record["message"] and "ab = 6" in record["message"]
+
     def test_perturbed_fails(self, capsys):
         code, out, _ = run_cli(["verify", "--bound", "15", "--perturb", "1e-6"], capsys)
         assert code == 1
