@@ -7,6 +7,7 @@ and twisted Reidemeister torsion closed forms.
 """
 
 from .errors import (
+    CancellationLimit,
     CaseUndefined,
     CoordinateMismatch,
     DegenerateDenominator,

@@ -134,7 +134,9 @@ class ExpansionReport:
     (leading + sum of exp_term values) + sum of corrections, except in the
     root-of-unity case where the exp_terms are the per-k pieces of the
     leading sum itself (so leading is left out there).  residual is relative
-    while |oracle| > 1e-300, absolute below that.
+    while |oracle| > 1e-300, absolute below that.  precision is the contract
+    the report was assembled under; parts_total sums at it, whatever the
+    ambient mpmath precision.
     """
 
     case_tag: str
@@ -149,13 +151,15 @@ class ExpansionReport:
     approximant: mpc = mpc(0)
     oracle: mpc = mpc(0)
     residual: mpf = mpf(0)
+    precision: Precision = DEFAULT_PRECISION
 
     def parts_total(self) -> mpc:
         """The bracket the prefactor multiplies into the approximant."""
-        total = sum((t for _, t in self.exp_terms), mpc(0))
-        if self.case_tag != CASE_ROOT_OF_UNITY:
-            total = self.leading + total
-        return total + sum(self.corrections, mpc(0))
+        with self.precision.workdps():
+            total = sum((t for _, t in self.exp_terms), mpc(0))
+            if self.case_tag != CASE_ROOT_OF_UNITY:
+                total = self.leading + total
+            return total + sum(self.corrections, mpc(0))
 
 
 def _residual(approximant, oracle) -> mpf:
@@ -191,7 +195,7 @@ def _case_prefactor(knot: TorusKnot, xi, N: int) -> mpc:
 def _report(oracle_xi, precision: Precision, **parts) -> ExpansionReport:
     """Report of one expansion case from its parts (the ExpansionReport fields
     up to corrections), with the exact sum at oracle_xi as the oracle."""
-    report = ExpansionReport(**parts)
+    report = ExpansionReport(precision=precision, **parts)
     approximant = report.prefactor * report.parts_total()
     oracle = jones_sum(report.knot, report.N, oracle_xi, precision)
     return replace(
@@ -242,8 +246,7 @@ def expand(spec: ExpansionSpec, precision: Precision = DEFAULT_PRECISION) -> Exp
 
         exp_terms = [
             (k, (-1) ** (k + 1) * residue_term(knot, k, xi, N, precision))
-            for k in range(1, k_max + 1)
-            if knot.is_pole_index(k)
+            for k in pole_indices(knot, k_max)
         ]
         if case == CASE_POLE:
             # the boundary term at xi/2 itself carries half weight

@@ -55,3 +55,7 @@ class DegenerateDiscriminant(TorusAsymError):
 
 class ExtrapolationUnstable(TorusAsymError):
     """Limit extrapolation produced non-finite or wildly inconsistent estimates."""
+
+
+class CancellationLimit(TorusAsymError):
+    """A finite sum cancels more bits than its evaluator may absorb."""

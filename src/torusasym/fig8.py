@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import arg, exp, fabs, im, log, mp, mpc, mpf, pi, re, sinh, sqrt
+from mpmath import cosh, exp, fabs, log, mp, mpc, mpf, pi, sinh, sqrt
 
 import numpy as np
 
 from .errors import DegenerateDenominator, DegenerateDiscriminant, ExtrapolationUnstable
-from .jones import unknot_bracket
+from .jones import _RESEED, _fixed, _guarded_walk, unknot_bracket
 from .precision import DEFAULT_PRECISION, Precision, to_mpc
 
 
@@ -120,23 +120,57 @@ def alexander_fig8(t, precision: Precision = DEFAULT_PRECISION) -> mpc:
         return -t + 3 - 1 / t
 
 
+def _fig8_walk(N: int, xi, bits: int) -> tuple[mpc, int]:
+    """(J_N, lost bits) of the figure-eight sum with `bits`-bit factors.
+
+    Factor l is 2 cosh(xi) - s_l with s_l = w^l + w^-l = 2 cosh(xi l/N),
+    w = e^(xi/N), advanced by s_(l+1) = (w + 1/w) s_l - s_(l-1) and
+    recomputed exactly every _RESEED steps.  The running product is a
+    `bits`-bit complex integer mantissa times 2^e, renormalised after every
+    factor.  The total keeps the exponent of the largest product so far, so
+    lost is log2 of the largest product over the total.
+    """
+    # 2 cosh(xi l/N) reaches e^|xi|: room for its integer bits and its argument's
+    with mp.workprec(bits + 2 * int(abs(xi)) + 16):
+        cr, ci = _fixed(2 * cosh(xi), bits)
+        kr, ki = _fixed(2 * cosh(xi / N), bits)
+        rr, ri, e = 1 << bits, 0, -bits  # running product (rr + i ri) 2^e
+        tr, ti, te = rr, ri, e  # total (tr + i ti) 2^te
+        for l in range(1, N):
+            if (l - 1) % _RESEED == 0:
+                sr, si = _fixed(2 * cosh(xi * l / N), bits)
+                ur, ui = _fixed(2 * cosh(xi * (l - 1) / N), bits)
+            else:
+                sr, si, ur, ui = ((kr * sr - ki * si) >> bits) - ur, ((kr * si + ki * sr) >> bits) - ui, sr, si
+            fr, fi = cr - sr, ci - si
+            pr, pi_ = rr * fr - ri * fi, rr * fi + ri * fr
+            shift = max(max(abs(pr), abs(pi_)).bit_length() - bits, 0)
+            rr, ri = pr >> shift, pi_ >> shift
+            e += shift - bits
+            if e > te:
+                tr, ti, te = tr >> (e - te), ti >> (e - te), e
+            tr += rr >> (te - e)
+            ti += ri >> (te - e)
+    lost = bits - max(abs(tr), abs(ti)).bit_length()
+    return mpc(mp.ldexp(tr, te), mp.ldexp(ti, te)), lost
+
+
 def jones_fig8(N: int, xi, precision: Precision = DEFAULT_PRECISION) -> mpc:
-    """Colored Jones of the figure-eight by the cyclotomic finite sum.
+    """Colored Jones of the figure-eight knot by the cyclotomic finite sum.
 
     J_N = sum_{n=0}^{N-1} prod_{l=1}^{n} 4 sinh(xi (N-l)/(2N)) sinh(xi (N+l)/(2N)),
-    every power of q = e^(xi/N) evaluated through the exponential; no
-    normalizing denominator, so roots of unity need no special casing.
+    each factor written as 2 cosh(xi) - 2 cosh(xi l/N) and walked in
+    integer arithmetic (_fig8_walk); no normalizing denominator, so roots of
+    unity need no special casing.  The factor difference cancels about
+    log2 N bits as l approaches N, hence 2 bitlen(N) + 16 guard bits; a sum
+    that cancels more than _MAX_LOST_BITS raises CancellationLimit.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
     with precision.workdps():
         xi = to_mpc(xi)
-        total = mpc(1)
-        running = mpc(1)
-        for l in range(1, N):
-            running *= 4 * sinh(xi * (N - l) / (2 * N)) * sinh(xi * (N + l) / (2 * N))
-            total += running
-        return total
+        guard = 2 * N.bit_length() + 16
+        return _guarded_walk(lambda bits: _fig8_walk(N, xi, bits), mp.prec, guard, N)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,19 @@
 jones_sum is the exact finite cyclotomic sum (O(N) terms); jones_integral is
 the contour-integral representation, a Gaussian times the torsion kernel along
 a tilted line, used as an independent verification path.  Both normalize the
-unknot to 1 and evaluate every power of q = e^(xi/N) through exp(xi * x / N),
-so no root or branch ambiguity enters.
+unknot to 1 and read every power of q = e^(xi/N) as exp(xi * x / N), so no
+root or branch ambiguity enters.
+
+The sum calls exp only to seed a walk: its exponents are quadratic in the
+summation index, so each term is the previous one times a ratio that grows
+by a constant factor, and the sum runs that recurrence in fixed point on
+Python integers, recomputing term and ratio exactly every _RESEED steps.
+Each walk runs toward decreasing term modulus and stops once the term falls
+below its last fraction bit (the tail cut), so Re xi > 0 at large N costs a
+few dozen terms.  The bits lost to cancellation are measured after the walk;
+when they eat into the working precision plus a guard, the walk is redone
+with that many more bits, and past _MAX_LOST_BITS it raises
+CancellationLimit.
 
 Chirality convention: the sum realizes J_2(T(2,3); q) = q^-1 + q^-3 - q^-4,
 i.e. the mirror for which the contour representation holds verbatim; it is
@@ -16,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import arg, cos, cosh, exp, im, log, mp, mpc, mpf, pi, re, sin, sinh, sqrt
+from mpmath.libmp import to_fixed
 
 from .contour import LineContour, integrate_line
-from .errors import DegenerateDenominator, InvalidXi
+from .errors import CancellationLimit, DegenerateDenominator, InvalidXi
 from .precision import DEFAULT_PRECISION, Precision, to_mpc
 from .torus import TorusKnot, _framing_exponent, _pole_index_near, _tau_raw
 
@@ -30,6 +42,18 @@ _INTEGRAL_MAX_N = 5000
 
 # Im xi below this counts as negative, outside every evaluator's domain
 _IM_XI_FLOOR = -1e-15
+
+# steps between exact recomputations of a walk's running term and ratio
+_RESEED = 128
+
+# fraction bits carried beyond the working precision and the bitlen(N) bits
+# the error of an N-term walk can grow by
+_GUARD_BITS = 32
+
+# cancellation, in bits, a sum absorbs by carrying more fraction bits; past
+# it the sum raises CancellationLimit.  The benchmark's Re xi < 0 ladders
+# lose up to about 2340 bits (T(3,5), xi = -0.27+0.2i, N = 1600).
+_MAX_LOST_BITS = 4096
 
 
 def _im_xi_negative(xi) -> bool:
@@ -77,20 +101,122 @@ def _nearest_2pii_multiple(xi) -> int | None:
     return None
 
 
-def _sum_exponents(knot: TorusKnot, N: int) -> list[tuple[int, int]]:
-    """Integer quadruples (P4, Q4) with term_j = q^(P4/4N) - q^(Q4/4N).
+def _fixed(z, bits: int) -> tuple[int, int]:
+    """z * 2^bits, each part rounded down to a Python int."""
+    return to_fixed(z.real._mpf_, bits), to_fixed(z.imag._mpf_, bits)
 
-    Exact integers: with j = r/2, r = 2t - (N-1), the two exponents times 4N
-    are ab r^2 + 2(a+b) r + ab(1-N^2) + 2 and ab r^2 + 2(a-b) r + ab(1-N^2) - 2.
+
+def _guarded_walk(walk, working_bits: int, guard: int, n: int):
+    """Value of walk(bits) -> (value, lost) at enough fraction bits that the
+    bits lost to cancellation leave working_bits + guard.
+
+    The first walk carries bitlen(n) bits of slack, so the few bits a sum of
+    n terms commonly cancels cost no second walk.  A walk whose loss eats
+    into the guard is redone with its lost bits added (when the loss is
+    total, that doubles the fraction bits); a loss above _MAX_LOST_BITS
+    raises CancellationLimit.
+    """
+    needed = working_bits + guard
+    bits = needed + n.bit_length()
+    while True:
+        value, lost = walk(bits)
+        if lost > _MAX_LOST_BITS:
+            raise CancellationLimit(
+                "the sum cancels %d bits, more than the %d it may absorb" % (lost, _MAX_LOST_BITS)
+            )
+        if bits - lost >= needed:
+            return value
+        bits += lost
+
+
+def _quadratic_run(c, shift, poly, start, step, count, bits, weighted):
+    """sum of w_t e^(c p(t) - shift) * 2^bits over count indices t = start,
+    start + step, ..., as a pair of Python ints.
+
+    p(t) = (A t + B) t + C has integer coefficients and w_t is p(t) when
+    weighted, else 1.  Consecutive terms differ by the ratio
+    e^(c (p(t + step) - p(t))), and consecutive ratios by e^(2 A c), so each
+    step costs two complex integer multiplies; term and ratio are recomputed
+    exactly every _RESEED steps.  The caller walks toward decreasing
+    |e^(c p(t))|, so the fixed-point error never grows along a run, and the
+    run stops once a term falls below 2^-bits: every later one is smaller.
+    Complex products take three integer multiplies (Gauss), exactly.
+    """
+    A, B, C = poly
+    gr, gi = _fixed(exp(2 * A * c), bits)
+    g_sum, g_diff = gr + gi, gi - gr
+    acc_r = acc_i = 0
+    t = start
+    while count > 0:
+        p = (A * t + B) * t + C
+        d = (A * (t + step) + B) * (t + step) + C - p
+        tr, ti = _fixed(exp(c * p - shift), bits)
+        rr, ri = _fixed(exp(c * d), bits)
+        block = min(_RESEED, count)
+        for _ in range(block):
+            if -2 < tr < 2 and -2 < ti < 2:
+                return acc_r, acc_i
+            if weighted:
+                acc_r += p * tr
+                acc_i += p * ti
+                p += d
+                d += 2 * A
+            else:
+                acc_r += tr
+                acc_i += ti
+            k = rr * (tr + ti)
+            tr, ti = (k - ti * (rr + ri)) >> bits, (k + tr * (ri - rr)) >> bits
+            k = gr * (rr + ri)
+            rr, ri = (k - ri * g_sum) >> bits, (k + rr * g_diff) >> bits
+        t += step * block
+        count -= block
+    return acc_r, acc_i
+
+
+def _sum_walk(knot: TorusKnot, N: int, xi, weighted: bool, bits: int) -> tuple[mpc, int]:
+    """(numerator, lost bits) of the finite sum at xi with `bits` fraction bits.
+
+    The numerator is sum_t w(P_t) e^(c P_t) - w(Q_t) e^(c Q_t), c = xi/(4N),
+    with P_t, Q_t the two exponents of term t times 4N and w(x) = x when
+    weighted, else 1.  With r = 2t - (N-1) they are
+    ab r^2 + 2(a +- b) r + ab(1 - N^2) +- 2, quadratics in t with the vertex
+    near (N-1)/2.  Every term is scaled by S = e^(max Re(c) P), in closed
+    form from the endpoints and the vertex.  For Re c >= 0 the modulus falls
+    from both ends toward the vertex, for Re c < 0 from the vertex outward,
+    and each series is walked that way in two runs.  lost is log2 of the
+    largest weighted term over the numerator.
     """
     a, b, ab = knot.a, knot.b, knot.ab
-    base = ab * (1 - N * N)
-    out = []
-    for t in range(N):
-        r = 2 * t - (N - 1)
-        common = ab * r * r + base
-        out.append((common + 2 * (a + b) * r + 2, common + 2 * (a - b) * r - 2))
-    return out
+    polys = [
+        (4 * ab, 4 * (a + s * b) - 4 * ab * (N - 1), 2 * s - 2 * (N - 1) * (ab + a + s * b))
+        for s in (1, -1)
+    ]
+    # last index at or left of each vertex, and the indices where p takes
+    # its extreme values on [0, N-1]
+    vertices = [min(max(-B // (2 * A), -1), N - 1) for A, B, _ in polys]
+    extremes = [
+        (A * t + B) * t + C
+        for (A, B, C), v in zip(polys, vertices)
+        for t in (0, N - 1, max(v, 0), min(v + 1, N - 1))
+    ]
+    p_max = max(abs(p) for p in extremes)
+    w_bits = p_max.bit_length() if weighted else 0
+    acc_r = acc_i = 0
+    # exp needs its argument, of size up to |xi| p_max / (4N), to `bits` bits
+    with mp.workprec(bits + int(abs(xi) * p_max / (4 * N)).bit_length() + 16):
+        c = xi / (4 * N)
+        shift = max(re(c) * p for p in extremes)
+        for sign, poly, v in zip((1, -1), polys, vertices):
+            if re(c) >= 0:
+                runs = ((0, 1, v + 1), (N - 1, -1, N - 1 - v))
+            else:
+                runs = ((v, -1, v + 1), (v + 1, 1, N - 1 - v))
+            for start, step, count in runs:
+                run_r, run_i = _quadratic_run(c, shift, poly, start, step, count, bits, weighted)
+                acc_r += sign * run_r
+                acc_i += sign * run_i
+    lost = bits + w_bits - max(abs(acc_r), abs(acc_i)).bit_length()
+    return mpc(mp.ldexp(acc_r, -bits), mp.ldexp(acc_i, -bits)) * exp(shift), lost
 
 
 def jones_sum(
@@ -102,31 +228,30 @@ def jones_sum(
     normalizing denominator 2 sinh(xi/2) vanishes together with the numerator
     and the value is the exact limit, evaluated by the derivative ratio at the
     snapped point.  A denominator that is nearly but not exactly degenerate
-    raises DegenerateDenominator.
+    raises DegenerateDenominator.  The numerator is walked in fixed point
+    (_sum_walk) at as many bits as its cancellation needs; a cancellation of
+    more than _MAX_LOST_BITS raises CancellationLimit.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
     with precision.workdps():
         xi = to_mpc(xi)
+        working_bits = mp.prec
+        guard = _GUARD_BITS + N.bit_length()
         m = _nearest_2pii_multiple(xi)
-        terms = _sum_exponents(knot, N)
-        four_n = mpf(4 * N)
         if m is not None:
             xi0 = 2 * pi * mpc(0, 1) * m
-            num_d = mpc(0)
-            for p4, q4 in terms:
-                P, Q = p4 / four_n, q4 / four_n
-                num_d += P * exp(xi0 * P) - Q * exp(xi0 * Q)
-            return num_d / cosh(xi0 / 2)
+            num_d = _guarded_walk(
+                lambda bits: _sum_walk(knot, N, xi0, True, bits), working_bits, guard, N
+            )
+            return num_d / (4 * N) / cosh(xi0 / 2)
         den = 2 * sinh(xi / 2)
         if abs(den) < precision.degeneracy_eps:
             raise DegenerateDenominator(
                 "2 sinh(xi/2) nearly vanishes but xi is not an exact 2 pi i multiple"
             )
-        acc = mpc(0)
-        for p4, q4 in terms:
-            acc += exp(xi * (p4 / four_n)) - exp(xi * (q4 / four_n))
-        return acc / den
+        num = _guarded_walk(lambda bits: _sum_walk(knot, N, xi, False, bits), working_bits, guard, N)
+        return num / den
 
 
 def jones_sum_oracle(

@@ -45,9 +45,7 @@ class TorusKnot:
 
 
 def pole_indices(knot: TorusKnot, k_max: int) -> list[int]:
-    """All k in [1, k_max] with a ∤ k and b ∤ k, ascending."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    """All k in [1, k_max] with a ∤ k and b ∤ k, ascending; empty for k_max < 1."""
     return [k for k in range(1, k_max + 1) if knot.is_pole_index(k)]
 
 

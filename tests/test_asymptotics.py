@@ -177,6 +177,15 @@ class TestExpand:
         with P.workdps():
             assert rep.prefactor * rep.parts_total() == rep.approximant
 
+    @pytest.mark.parametrize("dps", [15, 60])
+    def test_parts_total_ignores_ambient_precision(self, dps):
+        rep = expand(ExpansionSpec(K23, complex(0, 3), 100, 2), P)
+        with mp.workdps(dps):
+            total = rep.parts_total()
+        with P.workdps():
+            assert total == rep.parts_total()
+            assert rep.prefactor * total == rep.approximant
+
     def test_case_undefined_at_higher_multiples(self):
         with pytest.raises(CaseUndefined):
             expand(ExpansionSpec(K23, complex(0, float(4 * pi)), 100, 0), P)

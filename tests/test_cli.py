@@ -95,6 +95,17 @@ class TestEval:
         assert code == 3
         assert json.loads(err)["error"] == "InvalidXi"
 
+    def test_cancellation_limit_exits_3(self, capsys):
+        # the sum cancels about 4330 bits, more than it may absorb
+        code, out, err = run_cli(
+            ["eval", "--a", "2", "--b", "3", "--N", "2000", "--xi=-1+0.2i", "--method", "sum"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "CancellationLimit"
+
     def test_integral_refuses_large_n_exits_2(self, capsys):
         code, out, err = run_cli(
             ["eval", "--a", "2", "--b", "3", "--N", "5001", "--xi", "1+1i", "--method", "integral"],

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from mpmath import exp, fabs, mp, mpc, mpf, pi, sqrt
+from mpmath import exp, fabs, mp, mpc, mpf, pi, sinh, sqrt
 
 from torusasym import (
     Precision,
@@ -123,6 +123,23 @@ class TestJonesFig8:
         v400 = jones_fig8(400, 2 * pi * mpc(0, 1), P)
         rate = (log(fabs(v400)) - log(fabs(v200))) / 200
         assert fabs(rate - mpf("2.029883") / (2 * pi)) < mpf("0.01")
+
+
+def direct_product_sum(N, xi, dps=60):
+    """The figure-eight sum with two sinh calls per factor, at dps digits."""
+    with mp.workdps(dps):
+        total = running = mpc(1)
+        for l in range(1, N):
+            running *= 4 * sinh(xi * (N - l) / (2 * N)) * sinh(xi * (N + l) / (2 * N))
+            total += running
+        return total
+
+
+class TestJonesFig8Walk:
+    @pytest.mark.parametrize("N", [2, 200, 3000])
+    @pytest.mark.parametrize("xi", [mpf(0.9), 2 * pi * mpc(0, 1)], ids=["real", "2pii"])
+    def test_matches_direct_product(self, N, xi):
+        assert_close(jones_fig8(N, xi, P), direct_product_sum(N, xi), rel=mpf("1e-28"))
 
 
 class TestSpeculationHarness:

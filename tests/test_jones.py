@@ -1,8 +1,10 @@
 import pytest
 import sympy
-from mpmath import exp, fabs, log, mp, mpc, mpf, pi
+from mpmath import exp, fabs, mp, mpc, mpf, pi, sinh
 
+import torusasym.jones as jones_module
 from torusasym import (
+    CancellationLimit,
     DegenerateDenominator,
     EvalPoint,
     InvalidXi,
@@ -64,6 +66,52 @@ class TestSumEvaluator:
         v = jones_sum(K23, 200, 2 * pi * mpc(0, 1), P)
         assert mp.isfinite(v)
         assert fabs(v) > 1
+
+
+def direct_sum(knot, N, xi, dps):
+    """J_N term by term, every power of q through exp, at dps digits."""
+    a, b, ab = knot.a, knot.b, knot.ab
+    with mp.workdps(dps):
+        xi = mpc(xi)
+        total = mpc(0)
+        for t in range(N):
+            r = 2 * t - (N - 1)
+            common = ab * r * r + ab * (1 - N * N)
+            p4, q4 = common + 2 * (a + b) * r + 2, common + 2 * (a - b) * r - 2
+            total += exp(xi * p4 / (4 * N)) - exp(xi * q4 / (4 * N))
+        return total / (2 * sinh(xi / 2))
+
+
+class TestSumWalk:
+    @pytest.mark.parametrize(
+        "N,xi", [(1000, mpc("-0.5", "0.5")), (1600, mpc("-0.3", "0.5"))]
+    )
+    def test_negative_real_part_against_direct_sum(self, N, xi):
+        # the terms reach e^(|Re xi| ab N/4), some 300 digits above the value
+        got = jones_sum(K23, N, xi, P)
+        assert_close(got, direct_sum(K23, N, xi, 700), rel=mpf("1e-25"))
+
+    def test_negative_real_part_value(self):
+        got = jones_sum(K23, 1000, mpc("-0.5", "0.5"), P)
+        assert_close(got, mpc("0.8101", "0.4140"), abs_tol=mpf("1e-4"), rel=mpf(0))
+
+    def test_cancellation_past_the_limit_raises(self):
+        # about 4330 bits cancel, more than _MAX_LOST_BITS
+        with pytest.raises(CancellationLimit):
+            jones_sum(K23, 2000, mpc("-1.0", "0.2"), P)
+
+    def test_tail_cut_needs_few_exponentials(self, monkeypatch):
+        calls = []
+
+        def counting_exp(z):
+            calls.append(z)
+            return exp(z)
+
+        monkeypatch.setattr(jones_module, "exp", counting_exp)
+        got = jones_sum(TorusKnot(3, 5), 99944, mpf(1.3862), P)
+        assert len(calls) < 100
+        # the term-by-term sum of 199 888 exponentials at 38 digits
+        assert_close(got, mpf("0.00512429749198264133519493711753459544"), rel=mpf("1e-30"))
 
 
 class TestIntegralEvaluator:

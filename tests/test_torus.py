@@ -141,6 +141,8 @@ class TestPoleIndices:
             (TorusKnot(2, 3), 6, [1, 5]),
             (TorusKnot(2, 3), 12, [1, 5, 7, 11]),
             (TorusKnot(3, 5), 5, [1, 2, 4]),
+            (TorusKnot(2, 3), 0, []),
+            (TorusKnot(3, 5), -1, []),
         ],
     )
     def test_examples(self, knot, k_max, expected):
