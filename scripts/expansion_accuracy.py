@@ -11,8 +11,9 @@ Usage:
 """
 
 import argparse
+import math
+import statistics
 
-import numpy as np
 from mpmath import log, mp
 
 from torusasym import ExpansionSpec, Precision, TorusKnot, expand
@@ -48,7 +49,7 @@ def main():
         print(row)
     print(f"case: {case}")
     for j in args.orders:
-        slope = np.polyfit(np.log(args.n_grid), residuals[j], 1)[0]
+        slope = statistics.linear_regression([math.log(n) for n in args.n_grid], residuals[j]).slope
         print(f"J={j}: fitted slope {slope:+.4f} (expected {-(j + 1)})")
 
 

@@ -11,8 +11,9 @@ Usage:
 """
 
 import argparse
+import math
+import statistics
 
-import numpy as np
 from mpmath import fabs, log, mp, mpc, pi
 
 from torusasym import Precision, TorusKnot, expand_root_of_unity, jones_sum
@@ -50,11 +51,11 @@ def main():
             step = "-"
         else:
             step = "%.4f" % (
-                (logs[i] - logs[i - 1]) / (np.log(ns[i]) - np.log(ns[i - 1]))
+                (logs[i] - logs[i - 1]) / (math.log(ns[i]) - math.log(ns[i - 1]))
             )
         print(f"{n:>6}  {mp.nstr(fabs(value), 8):>14}  {step:>14}  {mp.nstr(rep.residual, 6):>20}")
 
-    slope = np.polyfit(np.log(ns), logs, 1)[0]
+    slope = statistics.linear_regression([math.log(n) for n in ns], logs).slope
     print(f"\nfitted growth exponent over the grid: {slope:.6f}  (expected 1.5)")
 
 

@@ -19,18 +19,11 @@ from .errors import (
     NonIntegerShift,
     ParityViolation,
     PoleHit,
-    RadiusTooLarge,
     ToleranceNotReached,
     TorusAsymError,
 )
 from .precision import DEFAULT_PRECISION, Precision
-from .contour import (
-    LineContour,
-    cauchy_derivatives,
-    integrate_line,
-    laurent_at_simple_pole,
-    laurent_coefficients,
-)
+from .contour import LineContour, integrate_line, laurent_coefficients
 from .torus import (
     TorusKnot,
     alexander,

@@ -10,8 +10,8 @@ how the ladder is read:
 * Re xi <= 0: k_max = floor(ab |xi| / (2 pi)), which is 0 inside the
   convergent semicircle |xi| < 2 pi/(ab);
 * xi/2 on the genuine pole M pi i/(ab) (the pole case): k_max = M, the
-  ladder comes from Laurent coefficients on a circle inside the pole
-  spacing, and the boundary term k = M carries half weight.
+  ladder is that of tau less its principal part there, read from the same
+  Taylor series, and the boundary term k = M carries half weight.
 
 A fourth case handles xi = 2 pi i itself, where q is a primitive root of
 unity and the leading growth is (N/xi)^(3/2).  All four cases share one
@@ -35,9 +35,8 @@ from mpmath import exp, fabs, floor, mp, mpc, mpf, pi, re, sin, sinh, sqrt
 
 from .errors import CaseUndefined, InvalidXi
 from .precision import DEFAULT_PRECISION, Precision, to_mpc
-from .contour import laurent_coefficients
 from .jones import _im_xi_negative, _nearest_2pii_multiple, jones_sum
-from .torus import TorusKnot, _framing_exponent, _tau_raw, pole_indices
+from .torus import TorusKnot, _framing_exponent, _tau_derivatives, pole_indices
 from .torus import tau_even_derivatives, ztau_even_derivatives
 
 # guard for recognizing ab|xi|/(2 pi) as an exact integer / xi as purely imaginary
@@ -227,15 +226,9 @@ def expand(spec: ExpansionSpec, precision: Precision = DEFAULT_PRECISION) -> Exp
         k_pole = _pole_case_index(knot, xi)
         if k_pole is not None:
             # snap xi onto the exact pole-case point; tau_even_derivatives
-            # refuses a pole, so the ladder comes from the Laurent
-            # coefficients on a circle inside the pole spacing
+            # refuses a pole, so the ladder is the regular part's there
             xi = 2 * k_pole * pi * mpc(0, 1) / ab
-            orders = [2 * j for j in range(J + 1)]
-            coeffs = laurent_coefficients(
-                lambda z: _tau_raw(knot, z, precision), xi / 2, pi / (2 * ab), orders,
-                precision=precision,
-            )
-            ladder = [mp.factorial(n) * c for n, c in zip(orders, coeffs)]
+            ladder = _tau_derivatives(knot, xi / 2, 2 * J + 1)[::2]
             case, k_max = CASE_POLE, k_pole
         else:
             ladder = tau_even_derivatives(knot, xi / 2, J, precision)

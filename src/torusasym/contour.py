@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from mpmath import mp, mpc, mpf, exp, pi, factorial
+from mpmath import mp, mpc, mpf, exp, pi
 
-from .errors import NonDecayingIntegrand, RadiusTooLarge, ToleranceNotReached
+from .errors import NonDecayingIntegrand, ToleranceNotReached
 from .precision import DEFAULT_PRECISION, Precision, to_mpc
 
 _MAX_LINE_NODES = 4096 * 32
@@ -119,30 +119,17 @@ def integrate_line(
             total += sum(new)
 
 
-def _check_radius(z0, radius, singularities) -> None:
-    if singularities is None:
-        return
-    for s in singularities:
-        if abs(to_mpc(s) - z0) <= radius:
-            raise RadiusTooLarge(
-                "circle of radius %s about %s encloses singularity %s"
-                % (mp.nstr(radius, 6), mp.nstr(z0, 6), mp.nstr(to_mpc(s), 6))
-            )
-
-
 def laurent_coefficients(
     f: Callable[[mpc], mpc],
     z0,
     radius,
     orders: Iterable[int],
     precision: Precision = DEFAULT_PRECISION,
-    singularities: Iterable = None,
 ) -> list:
-    """Laurent coefficients of f about z0 on a pole-free circle.
+    """Laurent coefficients of f about z0 on a circle with no pole on or
+    inside it other than z0.
 
-    ``orders`` may include -1 (the residue) when z0 is a simple pole of f;
-    ``singularities``, when given, lists poles of f other than z0 and must
-    stay outside the circle.
+    ``orders`` may include -1 (the residue) when z0 is a simple pole of f.
     """
     orders = list(orders)
     with precision.workdps():
@@ -150,7 +137,6 @@ def laurent_coefficients(
         radius = mpf(radius)
         if not radius > 0:
             raise ValueError("radius must be positive")
-        _check_radius(z0, radius, singularities)
         tol = precision.rel_tol
 
         def g(theta):
@@ -182,40 +168,3 @@ def laurent_coefficients(
                 )
             previous = values
             n, new = next(halvings)
-
-
-def cauchy_derivatives(
-    f: Callable[[mpc], mpc],
-    z0,
-    radius,
-    orders: Iterable[int],
-    precision: Precision = DEFAULT_PRECISION,
-    singularities: Iterable = None,
-) -> list:
-    """Derivatives f^(n)(z0) for each requested n via the Cauchy integral.
-
-    f must be analytic on the closed disk; pass known singularities to get a
-    RadiusTooLarge check instead of silent inaccuracy.
-    """
-    orders = list(orders)
-    if any(n < 0 for n in orders):
-        raise ValueError("derivative orders must be non-negative")
-    with precision.workdps():
-        coeffs = laurent_coefficients(
-            f, z0, radius, orders, precision=precision, singularities=singularities
-        )
-        return [factorial(n) * c for n, c in zip(orders, coeffs)]
-
-
-def laurent_at_simple_pole(
-    f: Callable[[mpc], mpc],
-    z0,
-    radius,
-    precision: Precision = DEFAULT_PRECISION,
-    singularities: Iterable = None,
-) -> tuple:
-    """(residue, constant term) of the Laurent expansion at a simple pole z0."""
-    res, const = laurent_coefficients(
-        f, z0, radius, [-1, 0], precision=precision, singularities=singularities
-    )
-    return res, const

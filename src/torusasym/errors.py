@@ -13,10 +13,6 @@ class ToleranceNotReached(TorusAsymError):
     """Quadrature refinement stalled before reaching the requested tolerance."""
 
 
-class RadiusTooLarge(TorusAsymError):
-    """A quadrature circle would enclose a supplied singularity."""
-
-
 class PoleHit(TorusAsymError):
     """Evaluation point coincides with a genuine pole of the torsion kernel."""
 

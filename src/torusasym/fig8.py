@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 from mpmath import cosh, exp, fabs, log, mp, mpc, mpf, pi, sinh, sqrt
 
-import numpy as np
-
 from .errors import DegenerateDenominator, DegenerateDiscriminant, ExtrapolationUnstable
 from .jones import _RESEED, _fixed, _guarded_walk, unknot_bracket
 from .precision import DEFAULT_PRECISION, Precision, to_mpc
@@ -211,12 +209,16 @@ def _growth_rate_estimate(xi, ns, precision) -> tuple[mpc, float]:
         samples.append(log(j1 / j0) - log(mpf(n + 1) / n) / 2)
     if any(not mp.isfinite(s) for s in samples):
         raise ExtrapolationUnstable("non-finite growth-rate samples")
-    rows = np.array([[1.0, 1.0 / n**2, 1.0 / n**3] for n in ns])
-    rhs = np.array([complex(s) for s in samples])
-    coeffs, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    fitted = rows @ coeffs
-    uncertainty = float(np.max(np.abs(fitted - rhs))) + abs(coeffs[1]) / min(ns) ** 2 * 1e-2
-    return to_mpc(complex(coeffs[0])), float(uncertainty)
+    rows = mp.matrix([[1, mpf(1) / n**2, mpf(1) / n**3] for n in ns])
+    rhs = mp.matrix(samples)
+    if rows.rows >= rows.cols:
+        coeffs, _ = mp.qr_solve(rows, rhs)
+    else:
+        # two N values: the minimum-norm solution rows^T (rows rows^T)^-1 rhs
+        coeffs = rows.T * mp.lu_solve(rows * rows.T, rhs)
+    misfit = max(fabs(v) for v in rows * coeffs - rhs)
+    uncertainty = misfit + fabs(coeffs[1]) / min(ns) ** 2 / 100
+    return to_mpc(coeffs[0]), float(uncertainty)
 
 
 def speculation_residual(

@@ -14,7 +14,7 @@ Each walk runs toward decreasing term modulus and stops once the term falls
 below its last fraction bit (the tail cut), so Re xi > 0 at large N costs a
 few dozen terms.  The bits lost to cancellation are measured after the walk;
 when they eat into the working precision plus a guard, the walk is redone
-with that many more bits, and past _MAX_LOST_BITS it raises
+at enough bits to absorb them, and past _MAX_LOST_BITS it raises
 CancellationLimit.
 
 Chirality convention: the sum realizes J_2(T(2,3); q) = q^-1 + q^-3 - q^-4,
@@ -112,12 +112,15 @@ def _guarded_walk(walk, working_bits: int, guard: int, n: int):
 
     The first walk carries bitlen(n) bits of slack, so the few bits a sum of
     n terms commonly cancels cost no second walk.  A walk whose loss eats
-    into the guard is redone with its lost bits added (when the loss is
-    total, that doubles the fraction bits); a loss above _MAX_LOST_BITS
-    raises CancellationLimit.
+    into the guard is redone: when more than 2 bitlen(n) bits survive, the
+    loss is measured and the redo carries needed + lost + bitlen(n) bits;
+    otherwise the loss is total, only a lower bound, and the redo adds the
+    lost bits, about doubling the fraction bits.  A loss above
+    _MAX_LOST_BITS raises CancellationLimit.
     """
     needed = working_bits + guard
-    bits = needed + n.bit_length()
+    slack = n.bit_length()
+    bits = needed + slack
     while True:
         value, lost = walk(bits)
         if lost > _MAX_LOST_BITS:
@@ -126,7 +129,7 @@ def _guarded_walk(walk, working_bits: int, guard: int, n: int):
             )
         if bits - lost >= needed:
             return value
-        bits += lost
+        bits = needed + lost + slack if bits - lost > 2 * slack else bits + lost
 
 
 def _quadratic_run(c, shift, poly, start, step, count, bits, weighted):

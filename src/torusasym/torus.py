@@ -1,8 +1,13 @@
 """Closed-form invariants of the (a,b) torus knot.
 
 The torsion kernel tau(z) = 2 sinh(az) sinh(bz) / sinh(abz), its genuine
-poles, the Alexander polynomial, derivative ladders extracted by circle
-quadrature, and the even Taylor data of z*tau(z) at the origin.
+poles, the Alexander polynomial, and the even derivative ladders of tau and
+of z*tau(z).  The ladders are Taylor coefficients built from the closed-form
+series of the three sinh factors: the numerator series is multiplied out and
+divided by the denominator series (Knuth, TAOCP vol. 2, section 4.7).  Near
+a zero of sinh(abz) the series is taken about that exact zero, where the
+pole or the 0/0 cancels symbolically, and then shifted to the point asked
+for.
 """
 
 from __future__ import annotations
@@ -10,9 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpc, mpf, im, log, pi, sinh
+from mpmath import cosh, mp, mpc, mpf, im, log, pi, sinh
 
-from .contour import cauchy_derivatives
 from .errors import PoleHit
 from .precision import DEFAULT_PRECISION, Precision, to_mpc
 
@@ -49,30 +53,14 @@ def pole_indices(knot: TorusKnot, k_max: int) -> list[int]:
     return [k for k in range(1, k_max + 1) if knot.is_pole_index(k)]
 
 
-def _pole_tolerance(knot: TorusKnot, precision: Precision) -> mpf:
-    # scale-aware guard: half the working digits relative to the pole spacing
-    return precision.half_eps * pi / knot.ab
-
-
 def _pole_index_near(knot: TorusKnot, z, precision: Precision) -> int | None:
-    """Index k of the genuine pole k pi i/(ab) within pole tolerance of z, or None."""
+    """Index k of the genuine pole k pi i/(ab) within half the working digits
+    of the pole spacing pi/(ab) from z, or None."""
     z = to_mpc(z)
     k = int(mp.nint(im(z) * knot.ab / pi))
-    tol = _pole_tolerance(knot, precision)
-    if knot.is_pole_index(k) and abs(z - mpc(0, 1) * k * pi / knot.ab) < tol:
+    if knot.is_pole_index(k) and abs(z - mpc(0, k) * pi / knot.ab) < precision.half_eps * pi / knot.ab:
         return k
     return None
-
-
-def _kernel_zero_distance(knot: TorusKnot, z, precision: Precision) -> mpf:
-    """Distance from z to the nearest zero m pi i/(ab) of sinh(ab z) other than
-    z itself (a zero within pole tolerance of z), so circle radii stay positive."""
-    z = to_mpc(z)
-    ab = knot.ab
-    m0 = int(mp.nint(im(z) * ab / pi))
-    tol = _pole_tolerance(knot, precision)
-    distances = (abs(z - mpc(0, 1) * m * pi / ab) for m in (m0 - 1, m0, m0 + 1))
-    return min(d for d in distances if not d < tol)
 
 
 def _removable_eps() -> mpf:
@@ -143,24 +131,93 @@ def _alexander_at_log(knot: TorusKnot, z, precision: Precision, depth: int = 0) 
     return sinh(ab * z) * sinh(z) / den
 
 
+# offsets from the nearest zero of sinh(ab z), in units of the zero spacing
+# pi/(ab), below which the series is taken about that zero and shifted
+_NEAR_ZERO = 1 / 32
+
+# bits carried beyond the working precision by the series arithmetic
+_SERIES_GUARD = 16
+
+
+def _sinh_series(c: int, s, ch, n: int) -> list:
+    """First n Taylor coefficients of sinh(c (z + h)) in h, from s = sinh(c z)
+    and ch = cosh(c z): c^k/k! times s for even k, ch for odd k."""
+    return [mpf(c) ** k / mp.factorial(k) * (ch if k % 2 else s) for k in range(n)]
+
+
+def _tau_series(sa: list, sb: list, den: list) -> list:
+    """Series of 2 sa sb / den, as long as the shortest operand; den[0] != 0."""
+    out = []
+    for k in range(min(len(sa), len(sb), len(den))):
+        num = 2 * sum(sa[i] * sb[k - i] for i in range(k + 1))
+        out.append((num - sum(den[i] * out[k - i] for i in range(1, k + 1))) / den[0])
+    return out
+
+
+def _tau_derivatives(knot: TorusKnot, z0, n: int) -> list:
+    """[g^(k)(z0) for k = 0..n-1], g being tau less its principal part at z0.
+
+    Away from the zeros of sinh(ab z) the sinh series about z0 are divided
+    directly, with guard bits for the digits the recurrence loses near a
+    zero.  Within _NEAR_ZERO spacings of a zero z* = m pi i/(ab) they are
+    taken about z*: a factor whose argument is an exact multiple of pi i
+    gets an exact 0, and sinh(ab(z* + u)) = (-1)^m sinh(ab u) is divided by
+    u, so the pole or the 0/0 cancels symbolically.  That series is shifted
+    by z0 - z*, computed at doubled precision; an offset within the rounding
+    of z0 counts as 0, and a genuine pole there keeps its principal part out.
+    """
+    a, b, ab = knot.a, knot.b, knot.ab
+    prec = mp.prec
+    wp = prec + _SERIES_GUARD
+    z0 = to_mpc(z0)
+    m = int(mp.nint(im(z0) * ab / pi))
+    with mp.workprec(2 * prec):
+        delta = z0 - mpc(0, m) * pi / ab
+        rho = abs(delta) * ab / pi
+    if rho >= _NEAR_ZERO:
+        # about log2(4/_NEAR_ZERO) bits per order, and those of sinh(ab z0)'s argument
+        with mp.workprec(wp + 7 * n + int(abs(z0) * ab).bit_length()):
+            coeffs = _tau_series(*(_sinh_series(c, sinh(c * z0), cosh(c * z0), n) for c in (a, b, ab)))
+    else:
+        terms = n
+        if abs(delta) <= mp.ldexp(abs(z0), 4 - prec):
+            delta = 0
+        else:
+            # the coefficients about z* fall like rho^j, so after `terms` of
+            # them the shift's tail is about C(terms, n) rho^(terms - n)
+            log_rho = float(mp.log(rho, 2))
+            terms = n + 2
+            while math.log2(math.comb(terms, n)) + (terms - n) * log_rho > -wp:
+                terms += 1
+        with mp.workprec(wp):
+            # c z* = pi i x with x = m/(ab/c): sinh = i sin(pi x), cosh = cos(pi x)
+            sa, sb = (
+                _sinh_series(c, mpc(0, mp.sinpi(x)), mp.cospi(x), terms + 1)
+                for c, x in ((a, mpf(m) / b), (b, mpf(m) / a))
+            )
+            den = _sinh_series(ab, mpf(0), 1 - 2 * (m % 2), terms + 2)[1:]
+            residue, *coeffs = _tau_series(sa, sb, den)
+            if delta:
+                # Taylor shift by delta (Knuth, TAOCP vol. 2, 4.6.4), then
+                # the principal part residue/(delta + h)
+                for i in range(n):
+                    for j in range(terms - 2, i - 1, -1):
+                        coeffs[j] += delta * coeffs[j + 1]
+                coeffs = [c + residue * (-1 / delta) ** k / delta for k, c in enumerate(coeffs[:n])]
+    return [mp.factorial(k) * c for k, c in enumerate(coeffs[:n])]
+
+
 def tau_even_derivatives(
     knot: TorusKnot, z0, j_max: int, precision: Precision = DEFAULT_PRECISION
 ) -> list:
-    """[tau^(2j)(z0) for j = 0..j_max] by circle quadrature.
-
-    The circle radius is half the distance from z0 to the nearest zero of
-    sinh(ab z), keeping a safety margin against pole proximity.
-    """
+    """[tau^(2j)(z0) for j = 0..j_max] from the Taylor series of tau at z0."""
     if j_max < 0:
         raise ValueError("j_max must be non-negative")
     with precision.workdps():
         z0 = to_mpc(z0)
         if _pole_index_near(knot, z0, precision) is not None:
             raise PoleHit(f"derivative ladder requested on a pole of tau for {knot}")
-        radius = _kernel_zero_distance(knot, z0, precision) / 2
-        orders = [2 * j for j in range(j_max + 1)]
-        f = lambda z: _tau_raw(knot, z, precision)
-        return cauchy_derivatives(f, z0, radius, orders, precision=precision)
+        return _tau_derivatives(knot, z0, 2 * j_max + 1)[::2]
 
 
 def ztau_even_derivatives(
@@ -169,12 +226,12 @@ def ztau_even_derivatives(
     """Even derivatives of z*tau(z) at 0: the correction-series coefficients.
 
     Entry l is the (2l)-th derivative, an even analytic function's Taylor
-    data; entry 0 vanishes since z*tau(z) ~ 2 z^2 near the origin.
+    data; entry 0 vanishes since z*tau(z) ~ 2 z^2 near the origin.  The
+    series of z*tau is that of tau shifted by one order, so entry l is
+    2l tau^(2l-1)(0).
     """
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     with precision.workdps():
-        radius = pi / (2 * knot.ab)
-        orders = [2 * l for l in range(l_max + 1)]
-        f = lambda z: z * _tau_raw(knot, z, precision)
-        return cauchy_derivatives(f, mpc(0), radius, orders, precision=precision)
+        odd = _tau_derivatives(knot, 0, max(2 * l_max, 1))
+        return [mpc(0)] + [2 * l * odd[2 * l - 1] for l in range(1, l_max + 1)]

@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import torusasym
 
 from torusasym.cli import main, parse_n_range, parse_xi, snap_special_xi
 from torusasym import TorusKnot
@@ -160,6 +166,15 @@ class TestExpand:
         assert code == 0
         assert json.loads(out)["reports"][0]["case_tag"] == "kt_2pii"
 
+    def test_next_to_removable_zero(self, capsys):
+        # xi/2 lies about 1e-8 from the removable zero pi i/3 of T(2,3)'s kernel
+        code, out, err = run_cli(
+            ["expand", "--a", "2", "--b", "3", "--xi=0+2.0943951i", "--J", "3", "--N", "400"],
+            capsys,
+        )
+        assert code == 0, err
+        assert float(json.loads(out)["reports"][0]["residual"]) < 1e-9
+
     def test_routes_to_pole_case(self, capsys):
         code, out, _ = run_cli(
             ["expand", "--a", "2", "--b", "3", "--xi", "0+1.0472i", "--N", "200"], capsys
@@ -269,3 +284,10 @@ class TestDeterminism:
         assert main(args + ["--json", str(p2)]) == 0
         capsys.readouterr()
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_import_leaves_numpy_out():
+    src = Path(torusasym.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, torusasym.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

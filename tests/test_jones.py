@@ -100,6 +100,23 @@ class TestSumWalk:
         with pytest.raises(CancellationLimit):
             jones_sum(K23, 2000, mpc("-1.0", "0.2"), P)
 
+    def test_measured_loss_redone_at_the_needed_bits(self, monkeypatch):
+        # the walks at 184, 360 and 712 bits lose everything; the one at 1420
+        # measures the true loss, 1334 bits, and the redo carries that loss
+        # plus the guard rather than 1420 + 1334 = 2754 bits
+        walks = []
+        walk = jones_module._sum_walk
+
+        def recording_walk(*args):
+            walks.append(args[-1])
+            return walk(*args)
+
+        monkeypatch.setattr(jones_module, "_sum_walk", recording_walk)
+        knot, xi = TorusKnot(3, 5), mpc("-0.3", "0.5")
+        got = jones_sum(knot, 1600, xi, P)
+        assert walks[-1] < 2000
+        assert_close(got, direct_sum(knot, 1600, xi, 700), rel=mpf("1e-25"))
+
     def test_tail_cut_needs_few_exponentials(self, monkeypatch):
         calls = []
 

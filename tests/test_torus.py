@@ -1,18 +1,20 @@
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from mpmath import exp, fabs, mp, mpc, mpf, pi, sinh
+from mpmath import exp, factorial, fabs, mp, mpc, mpf, pi, sinh
 
 from torusasym import (
     PoleHit,
     Precision,
     TorusKnot,
     alexander,
+    laurent_coefficients,
     pole_indices,
     tau,
     tau_even_derivatives,
     ztau_even_derivatives,
 )
+from torusasym.torus import _tau_derivatives, _tau_raw
 from conftest import assert_close
 
 P = Precision(30, 1e-12)
@@ -209,3 +211,44 @@ class TestDerivativeLadders:
                 g(2 * h) - 4 * g(h) + 6 * g(mpf(0)) - 4 * g(-h) + g(-2 * h)
             ) / h**4
         assert_close(vals[2], fd, rel=mpf("1e-5"))
+
+    # (knot, m): removable and genuine-pole zeros m pi i/(ab) of sinh(ab z)
+    @pytest.mark.parametrize(
+        "knot,m",
+        [
+            (TorusKnot(2, 3), 2), (TorusKnot(2, 3), 1), (TorusKnot(2, 5), 5), (TorusKnot(2, 5), 3),
+            (TorusKnot(3, 5), 6), (TorusKnot(3, 5), 7), (TorusKnot(3, 7), 0), (TorusKnot(3, 7), 4),
+        ],
+    )
+    def test_near_kernel_zero_against_high_precision(self, knot, m):
+        # offsets down to 1e-19; next to a genuine pole they stop short of
+        # the pole tolerance, 10^-15 pi/(ab)
+        a, b, ab = knot.a, knot.b, knot.ab
+        f = lambda z: 2 * sinh(a * z) * sinh(b * z) / sinh(ab * z)
+        for e in (1, 4, 7, 10, 13, 16, 19):
+            if knot.is_pole_index(m) and e > 13:
+                continue
+            with P.workdps():
+                z0 = mpc(0, m) * pi / ab + mpc(3, 4) / 5 * mpf(10) ** -e
+            got = tau_even_derivatives(knot, z0, 4, P)
+            with mp.workdps(160):
+                want = [mp.diff(f, z0, 2 * j) for j in range(5)]
+            for g, w in zip(got, want):
+                assert_close(g, w, rel=mpf("1e-30"), abs_tol=mpf(0))
+
+    @pytest.mark.parametrize("knot,k", [(TorusKnot(2, 3), 1), (TorusKnot(3, 5), 7)])
+    def test_regular_part_at_pole_against_circle_quadrature(self, knot, k):
+        # the pole-case ladder: tau less k's principal part, from a 50-digit
+        # circle quadrature inside the pole spacing
+        fine = Precision(50, 1e-40)
+        with fine.workdps():
+            pole = mpc(0, k) * pi / knot.ab
+            orders = [0, 2, 4, 6]
+            coeffs = laurent_coefficients(
+                lambda z: _tau_raw(knot, z, fine), pole, pi / (2 * knot.ab), orders, fine
+            )
+            want = [factorial(n) * c for n, c in zip(orders, coeffs)]
+        with P.workdps():
+            got = _tau_derivatives(knot, mpc(0, k) * pi / knot.ab, 7)[::2]
+        for g, w in zip(got, want):
+            assert_close(g, w, rel=mpf("1e-30"))
