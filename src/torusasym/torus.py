@@ -81,21 +81,21 @@ def _framing_exponent(knot: TorusKnot, xi, N: int) -> mpc:
     return (knot.ab - mpf(knot.a) / knot.b - mpf(knot.b) / knot.a) * xi / (4 * N)
 
 
-def _tau_raw(knot: TorusKnot, z, precision: Precision, depth: int = 0) -> mpc:
-    """tau without the pole guard; removable 0/0 points get a Richardson limit."""
-    a, b, ab = knot.a, knot.b, knot.ab
-    den = sinh(ab * z)
-    if abs(den) < _removable_eps() and depth == 0:
+def _tau_raw(knot: TorusKnot, z, precision: Precision) -> mpc:
+    """tau without the pole guard; near a removable 0/0 point the series about
+    the kernel zero gives the value."""
+    den = sinh(knot.ab * z)
+    if abs(den) < _removable_eps():
         # near a kernel zero; genuine poles were excluded by the caller
-        return _removable_limit(lambda w: _tau_raw(knot, w, precision, depth=1), z, ab)
-    return 2 * sinh(a * z) * sinh(b * z) / den
+        return _tau_derivatives(knot, z, 1)[0]
+    return 2 * sinh(knot.a * z) * sinh(knot.b * z) / den
 
 
 def tau(knot: TorusKnot, z, precision: Precision = DEFAULT_PRECISION) -> mpc:
     """Torsion kernel 2 sinh(az) sinh(bz) / sinh(abz).
 
     Removable singularities (kernel zeros with a | k or b | k) are evaluated
-    by a 4-point Richardson limit; genuine poles raise PoleHit when z is
+    from the Taylor series about the zero; genuine poles raise PoleHit when z is
     within 10^(-working_digits/2) * pi/(ab) of the pole.
     """
     with precision.workdps():

@@ -99,6 +99,22 @@ class TestTau:
         assert_close(val, mpc(0, mpf(-2) / 3), rel=mpf("1e-20"))
         assert fabs(val - near) < mpf("1e-7")
 
+    @pytest.mark.parametrize("knot", [TorusKnot(2, 3), TorusKnot(2, 5), TorusKnot(3, 5)])
+    def test_removable_values_against_high_precision(self, knot):
+        # on and next to every removable zero up to 2 pi i, to the guard digits
+        a, b, ab = knot.a, knot.b, knot.ab
+        for m in range(1, 2 * ab + 1):
+            if knot.is_pole_index(m):
+                continue
+            for offset in (0, mpf("1e-25"), mpc("3e-21", "-2e-22")):
+                with P.workdps():
+                    z = mpc(0, m) * pi / ab + offset
+                got = tau(knot, z, P)
+                # z is rounded, so it is never an exact zero: 200 digits see it
+                with mp.workdps(200):
+                    want = 2 * sinh(a * z) * sinh(b * z) / sinh(ab * z)
+                    assert fabs(got - want) < mpf("1e-37") * max(fabs(want), 1)
+
     @pytest.mark.parametrize("knot", [TorusKnot(2, 3), TorusKnot(3, 5)])
     def test_identity_on_grid(self, knot):
         # 100-point grid in [-1,1] x [0,1]i, off the imaginary axis
